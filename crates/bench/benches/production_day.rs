@@ -96,7 +96,7 @@ fn main() {
         (s("scenario"), s("examples/scenarios/production-day.toml")),
         (s("functions"), serde::Value::UInt(u64::from(functions))),
         (s("simulated_secs"), serde::Value::UInt(horizon_secs)),
-        (s("requests_served"), serde::Value::UInt(requests)),
+        (s("requests_arrived"), serde::Value::UInt(requests)),
         (s("streamed_wall_secs"), serde::Value::Float(round2(streamed_secs))),
         (s("streamed_peak_rss_bytes"), serde::Value::UInt(streamed_rss)),
         (s("materialized_wall_secs"), serde::Value::Float(round2(materialized_secs))),

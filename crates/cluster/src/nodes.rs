@@ -1,4 +1,4 @@
-//! The node plane: per-node GPU runtimes and their parallel stepper.
+//! The node plane: per-node GPU runtimes and their stepper.
 //!
 //! [`ClusterSim`](crate::ClusterSim) is layered into a **control plane**
 //! (arrival ingest, routing, placement, elasticity, reporting — see
@@ -8,22 +8,12 @@
 //! [`NodePlane`] owns all runtimes plus the cluster-wide occupancy
 //! counter.
 //!
-//! GPU stepping is embarrassingly parallel *between* the cluster-level
-//! phases: within one quantum no two GPUs share state (grants are local to
-//! a card; completions are merged afterwards by the control plane). The
-//! plane exploits that with a hand-rolled scoped-thread pool
-//! ([`PoolShared`] + [`worker_loop`], driven through [`StepPool`]): busy
-//! node runtimes are *moved* to workers through mailboxes each wake,
-//! stepped, and moved back — no `unsafe`, no shared mutable state, no new
-//! dependencies. Outcomes are merged in ascending node order, so the
-//! merged completion stream is byte-identical to serial stepping no matter
-//! how many threads ran (`[sim] threads`).
+//! Within one quantum no two GPUs share state (grants are local to a
+//! card), so the plane steps each node's GPUs into that node's own
+//! buffers and then merges the per-node outcomes in ascending node order
+//! for the control plane to handle.
 
 use std::collections::BTreeSet;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread::Thread;
 
 use dilu_gpu::{Completion, GpuEngine, GpuError, InstanceId, SlotConfig, StepOutcome};
 use dilu_sim::{SimDuration, SimTime};
@@ -116,15 +106,7 @@ impl GpuSlot {
 
 /// One worker node's GPU runtime: its [`GpuSlot`]s, the set of local GPUs
 /// currently holding work, and reusable per-node step outcome buffers.
-///
-/// A `NodeRuntime` is self-contained — stepping touches only its own
-/// slots — which is what lets the plane move it to a worker thread by
-/// value and merge the outcomes deterministically afterwards.
-#[derive(Default)]
 pub(crate) struct NodeRuntime {
-    /// The node's index in [`NodePlane::nodes`] (restores checked-out
-    /// runtimes to their slot after a parallel step).
-    id: u32,
     slots: Vec<GpuSlot>,
     /// Local GPU indices holding queued or active work; only these are
     /// stepped by the event core.
@@ -175,22 +157,6 @@ impl NodeRuntime {
         }
         self.scratch = out;
     }
-
-    fn step(&mut self, job: &JobKind, now: SimTime, quantum: SimDuration) {
-        match job {
-            JobKind::BusyOnly => self.step_busy(now, quantum),
-            JobKind::AllSlots => self.step_all(now, quantum),
-        }
-    }
-}
-
-/// How a step job treats a node's GPUs.
-#[derive(Clone, Copy)]
-pub(crate) enum JobKind {
-    /// Event core: step only the GPUs in the node's busy set.
-    BusyOnly,
-    /// Dense stepper: walk every GPU of the node.
-    AllSlots,
 }
 
 /// All node runtimes plus cluster-wide occupancy accounting.
@@ -204,20 +170,10 @@ pub(crate) struct NodePlane {
     /// Nodes whose busy set is non-empty (the event core steps only
     /// these).
     busy_nodes: BTreeSet<u32>,
-    /// Reused per-worker checkout buffers for parallel steps.
-    share_bufs: Vec<Vec<NodeRuntime>>,
-    /// Reused node-id scratch for the step loop (the hot path must stay
+    /// Reused node-id scratch for the busy step (the hot path must stay
     /// allocation-free: one wake per quantum at macro scale).
     ids_buf: Vec<u32>,
 }
-
-/// Minimum nodes per share (worker or the calling thread) before a step
-/// fans out: below this, the per-wake mailbox handoff costs more than the
-/// stepping it offloads, on any core count. The pool engages with however
-/// many workers the busy-node count justifies (`ids / MIN_NODES_PER_SHARE`
-/// shares), so a lightly loaded wake uses one helper and a burst uses them
-/// all. Results are identical on every path.
-pub(crate) const MIN_NODES_PER_SHARE: usize = 2;
 
 impl NodePlane {
     pub(crate) fn new(
@@ -226,8 +182,7 @@ impl NodePlane {
         policy_factory: &dyn PolicyFactory,
     ) -> Self {
         let nodes = (0..spec.nodes)
-            .map(|id| NodeRuntime {
-                id,
+            .map(|_| NodeRuntime {
                 slots: (0..spec.gpus_per_node)
                     .map(|_| GpuSlot {
                         engine: GpuEngine::with_quantum(spec.gpu_mem_bytes, quantum),
@@ -236,25 +191,19 @@ impl NodePlane {
                         last_step: None,
                     })
                     .collect(),
-                ..NodeRuntime::default()
+                busy: BTreeSet::new(),
+                completions: Vec::new(),
+                issued: Vec::new(),
+                scratch: StepOutcome::default(),
+                drained: Vec::new(),
             })
             .collect();
-        NodePlane {
-            nodes,
-            occupied: 0,
-            busy_nodes: BTreeSet::new(),
-            share_bufs: Vec::new(),
-            ids_buf: Vec::new(),
-        }
+        NodePlane { nodes, occupied: 0, busy_nodes: BTreeSet::new(), ids_buf: Vec::new() }
     }
 
     /// Number of GPUs hosting at least one admitted instance, O(1).
     pub(crate) fn occupied(&self) -> u32 {
         self.occupied
-    }
-
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     pub(crate) fn slot_mut(&mut self, addr: GpuAddr) -> &mut GpuSlot {
@@ -311,7 +260,7 @@ impl NodePlane {
     /// between `run_until` calls deployments need no busy bookkeeping).
     pub(crate) fn rebuild_busy(&mut self) {
         self.busy_nodes.clear();
-        for node in &mut self.nodes {
+        for (id, node) in self.nodes.iter_mut().enumerate() {
             node.busy.clear();
             for (local, slot) in node.slots.iter().enumerate() {
                 if !slot.engine.is_idle() {
@@ -319,258 +268,55 @@ impl NodePlane {
                 }
             }
             if !node.busy.is_empty() {
-                self.busy_nodes.insert(node.id);
+                self.busy_nodes.insert(id as u32);
             }
         }
     }
 
-    /// Steps the plane for the quantum starting at `now` — busy nodes only
-    /// (event core) or every node (dense stepper) — using up to
-    /// `pool`-many extra worker threads when one is attached, and merges
-    /// per-node outcomes into `completions`/`issued` **in ascending node
-    /// order**, making the merged streams byte-identical to a serial walk
-    /// regardless of thread count.
-    pub(crate) fn step(
+    /// Event-core step for the quantum starting at `now`: steps the GPUs
+    /// holding work on every busy node, then merges per-node outcomes into
+    /// `completions`/`issued` **in ascending node order** and retires
+    /// nodes whose GPUs all drained.
+    pub(crate) fn step_busy(
         &mut self,
-        kind: JobKind,
         now: SimTime,
         quantum: SimDuration,
-        pool: Option<&StepPool<'_>>,
         completions: &mut Vec<Completion>,
         issued: &mut Vec<(InstanceId, u64)>,
     ) {
         let mut ids = std::mem::take(&mut self.ids_buf);
         ids.clear();
-        match kind {
-            JobKind::BusyOnly => ids.extend(self.busy_nodes.iter().copied()),
-            JobKind::AllSlots => ids.extend(0..self.nodes.len() as u32),
-        }
-        if ids.is_empty() {
-            self.ids_buf = ids;
-            return;
-        }
-        match pool {
-            Some(pool) if ids.len() >= 2 * MIN_NODES_PER_SHARE => {
-                self.step_parallel(kind, &ids, now, quantum, pool);
-            }
-            _ => {
-                for &id in &ids {
-                    self.nodes[id as usize].step(&kind, now, quantum);
-                }
-            }
+        ids.extend(self.busy_nodes.iter().copied());
+        for &id in &ids {
+            self.nodes[id as usize].step_busy(now, quantum);
         }
         for &id in &ids {
             let node = &mut self.nodes[id as usize];
             completions.append(&mut node.completions);
             issued.append(&mut node.issued);
-            if matches!(kind, JobKind::BusyOnly) && node.busy.is_empty() {
+            if node.busy.is_empty() {
                 self.busy_nodes.remove(&id);
             }
         }
         self.ids_buf = ids;
     }
 
-    /// Fans one step out over the pool: node runtimes are *moved* to the
-    /// workers through their mailboxes (disjoint ownership, no locking
-    /// during the step), the calling thread works a share of its own, and
-    /// every runtime is restored to its slot before the merge. Which
-    /// thread steps which node is irrelevant to the result — nodes are
-    /// independent within a quantum and the merge order is fixed.
-    fn step_parallel(
+    /// Dense step for the quantum starting at `now`: steps every GPU of
+    /// every node, then merges per-node outcomes in ascending node order.
+    pub(crate) fn step_all(
         &mut self,
-        kind: JobKind,
-        ids: &[u32],
         now: SimTime,
         quantum: SimDuration,
-        pool: &StepPool<'_>,
+        completions: &mut Vec<Completion>,
+        issued: &mut Vec<(InstanceId, u64)>,
     ) {
-        // Engage only as many shares as the node count justifies: every
-        // share must be worth its handoff (see [`MIN_NODES_PER_SHARE`]).
-        let shares = (pool.workers() + 1).min(ids.len() / MIN_NODES_PER_SHARE).max(1);
-        let workers = shares - 1;
-        self.share_bufs.resize_with(pool.workers(), Vec::new);
-        // Contiguous split; the remainder lands on the main thread's share
-        // so workers start on full chunks first.
-        let chunk = ids.len() / shares;
-        for w in 0..workers {
-            let mut batch = std::mem::take(&mut self.share_bufs[w]);
-            for &id in &ids[w * chunk..(w + 1) * chunk] {
-                batch.push(std::mem::take(&mut self.nodes[id as usize]));
-            }
-            pool.dispatch(w, Job { nodes: batch, kind, now, quantum });
+        for node in &mut self.nodes {
+            node.step_all(now, quantum);
         }
-        for &id in &ids[workers * chunk..] {
-            self.nodes[id as usize].step(&kind, now, quantum);
+        for node in &mut self.nodes {
+            completions.append(&mut node.completions);
+            issued.append(&mut node.issued);
         }
-        for w in 0..workers {
-            let mut job = pool.collect(w);
-            for node in job.nodes.drain(..) {
-                let id = node.id as usize;
-                self.nodes[id] = node;
-            }
-            self.share_bufs[w] = job.nodes;
-        }
-    }
-}
-
-/// One parcel of node stepping handed to a pool worker.
-pub(crate) struct Job {
-    nodes: Vec<NodeRuntime>,
-    kind: JobKind,
-    now: SimTime,
-    quantum: SimDuration,
-}
-
-/// A worker mailbox: the main thread deposits a [`Job`] and bumps
-/// `epoch`; the worker steps it, deposits it back, and echoes the epoch
-/// into `done`.
-struct Mailbox {
-    job: Mutex<Option<Job>>,
-    epoch: AtomicU64,
-    done: AtomicU64,
-    /// The worker's handle, registered at startup, so the main thread can
-    /// unpark it out of its idle wait.
-    worker: Mutex<Option<Thread>>,
-}
-
-/// State shared between the simulation thread and its step workers for
-/// the duration of one `run_until` call. Lives on the caller's stack;
-/// workers borrow it through [`std::thread::scope`].
-pub(crate) struct PoolShared {
-    mail: Vec<Mailbox>,
-    shutdown: AtomicBool,
-    /// Set by a worker whose step panicked; the main thread re-raises.
-    poisoned: AtomicBool,
-    /// The simulation thread, for workers to unpark after finishing.
-    main: Thread,
-}
-
-impl PoolShared {
-    pub(crate) fn new(workers: usize) -> Self {
-        PoolShared {
-            mail: (0..workers)
-                .map(|_| Mailbox {
-                    job: Mutex::new(None),
-                    epoch: AtomicU64::new(0),
-                    done: AtomicU64::new(0),
-                    worker: Mutex::new(None),
-                })
-                .collect(),
-            shutdown: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            main: std::thread::current(),
-        }
-    }
-
-    /// Releases every worker from its wait loop so the scope can join.
-    pub(crate) fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        for mb in &self.mail {
-            if let Some(thread) = mb.worker.lock().expect("mailbox lock").as_ref() {
-                thread.unpark();
-            }
-        }
-    }
-}
-
-/// Shuts the pool down when dropped — including on unwind, so the
-/// enclosing [`std::thread::scope`] can always join its workers. Construct
-/// it *before* spawning the workers: a panic mid-spawn (or anywhere in the
-/// run) must still release the already-parked ones.
-pub(crate) struct PoolGuard<'a>(pub(crate) &'a PoolShared);
-
-impl Drop for PoolGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Bounded-spin wait: a few busy spins for the common fast handoff, a few
-/// yields, then park until unparked. Spurious unparks re-check `ready`.
-fn wait_until(ready: impl Fn() -> bool) {
-    let mut spins = 0u32;
-    while !ready() {
-        spins += 1;
-        if spins < 128 {
-            std::hint::spin_loop();
-        } else if spins < 160 {
-            std::thread::yield_now();
-        } else {
-            std::thread::park();
-        }
-    }
-}
-
-/// The body of one pool worker thread: waits for its mailbox epoch to
-/// advance, steps the deposited nodes, hands them back, and signals done.
-/// Returns when [`PoolShared::shutdown`] fires.
-pub(crate) fn worker_loop(shared: &PoolShared, index: usize) {
-    let mb = &shared.mail[index];
-    *mb.worker.lock().expect("mailbox lock") = Some(std::thread::current());
-    let mut seen = 0u64;
-    loop {
-        wait_until(|| {
-            mb.epoch.load(Ordering::Acquire) != seen || shared.shutdown.load(Ordering::Acquire)
-        });
-        let epoch = mb.epoch.load(Ordering::Acquire);
-        if epoch == seen {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        }
-        seen = epoch;
-        let mut job = mb.job.lock().expect("mailbox lock").take();
-        if let Some(job) = job.as_mut() {
-            // A panicking step must not strand the main thread in its
-            // collect wait: flag it, finish the handshake, re-raise there.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                for node in &mut job.nodes {
-                    node.step(&job.kind, job.now, job.quantum);
-                }
-            }));
-            if outcome.is_err() {
-                shared.poisoned.store(true, Ordering::Release);
-            }
-        }
-        *mb.job.lock().expect("mailbox lock") = job;
-        mb.done.store(epoch, Ordering::Release);
-        shared.main.unpark();
-    }
-}
-
-/// The simulation thread's handle on a running worker set.
-pub(crate) struct StepPool<'a> {
-    shared: &'a PoolShared,
-}
-
-impl<'a> StepPool<'a> {
-    pub(crate) fn new(shared: &'a PoolShared) -> Self {
-        StepPool { shared }
-    }
-
-    fn workers(&self) -> usize {
-        self.shared.mail.len()
-    }
-
-    fn dispatch(&self, index: usize, job: Job) {
-        let mb = &self.shared.mail[index];
-        *mb.job.lock().expect("mailbox lock") = Some(job);
-        let epoch = mb.epoch.load(Ordering::Relaxed) + 1;
-        mb.epoch.store(epoch, Ordering::Release);
-        if let Some(thread) = mb.worker.lock().expect("mailbox lock").as_ref() {
-            thread.unpark();
-        }
-    }
-
-    fn collect(&self, index: usize) -> Job {
-        let mb = &self.shared.mail[index];
-        let target = mb.epoch.load(Ordering::Relaxed);
-        wait_until(|| mb.done.load(Ordering::Acquire) == target);
-        if self.shared.poisoned.load(Ordering::Acquire) {
-            panic!("a node-plane step worker panicked");
-        }
-        mb.job.lock().expect("mailbox lock").take().expect("worker returned the job")
     }
 }
 
@@ -578,7 +324,7 @@ impl<'a> StepPool<'a> {
 mod tests {
     use super::*;
     use dilu_gpu::policies::FairSharePolicy;
-    use dilu_gpu::{SmRate, TaskClass, WorkItem, GB};
+    use dilu_gpu::{SmRate, TaskClass, GB};
 
     fn plane(nodes: u32, gpus_per_node: u32) -> NodePlane {
         let spec = ClusterSpec { nodes, gpus_per_node, gpu_mem_bytes: 40 * GB };
@@ -621,87 +367,5 @@ mod tests {
         let addr = GpuAddr { node: 0, gpu: 0 };
         assert!(plane.admit(addr, InstanceId(1), config(100 * GB)).is_err());
         assert_eq!(plane.occupied(), 0);
-    }
-
-    /// The pool is a pure executor: stepping N busy nodes through workers
-    /// must merge the identical completion stream as stepping them
-    /// serially, for any worker count. Nine nodes keeps the busy count
-    /// above `2 * MIN_NODES_PER_SHARE`, so the pooled runs genuinely fan
-    /// out (multiple shares, chunked checkout, mailbox round trips) until
-    /// the tail of the drain, when stepping falls back inline — both
-    /// paths are exercised in one run.
-    #[test]
-    fn parallel_step_merges_identically_to_serial() {
-        const NODES: u32 = 9;
-        assert!(NODES as usize >= 2 * MIN_NODES_PER_SHARE, "test must reach the fan-out path");
-        let quantum = SimDuration::from_millis(5);
-        let run = |workers: usize| {
-            let mut plane = plane(NODES, 2);
-            for node in 0..NODES {
-                for gpu in 0..2u32 {
-                    let addr = GpuAddr { node, gpu };
-                    let id = InstanceId(u64::from(node * 2 + gpu));
-                    plane.admit(addr, id, config(GB)).unwrap();
-                    plane
-                        .slot_mut(addr)
-                        .engine
-                        .push_work(
-                            id,
-                            WorkItem::compute(
-                                SimDuration::from_millis(7 + u64::from(node)),
-                                SmRate::from_percent(50.0),
-                                100,
-                                u64::from(node * 2 + gpu),
-                            ),
-                        )
-                        .unwrap();
-                }
-            }
-            plane.rebuild_busy();
-            let mut completions = Vec::new();
-            let mut issued = Vec::new();
-            let mut now = SimTime::ZERO;
-            if workers == 0 {
-                while plane.has_busy() {
-                    plane.step(
-                        JobKind::BusyOnly,
-                        now,
-                        quantum,
-                        None,
-                        &mut completions,
-                        &mut issued,
-                    );
-                    now += quantum;
-                }
-            } else {
-                let shared = PoolShared::new(workers);
-                std::thread::scope(|scope| {
-                    // Guard before spawns: a panicking step must release
-                    // the parked workers or the scope join hangs.
-                    let _guard = PoolGuard(&shared);
-                    for w in 0..workers {
-                        let shared = &shared;
-                        scope.spawn(move || worker_loop(shared, w));
-                    }
-                    let pool = StepPool::new(&shared);
-                    while plane.has_busy() {
-                        plane.step(
-                            JobKind::BusyOnly,
-                            now,
-                            quantum,
-                            Some(&pool),
-                            &mut completions,
-                            &mut issued,
-                        );
-                        now += quantum;
-                    }
-                });
-            }
-            (format!("{completions:?}"), format!("{issued:?}"))
-        };
-        let serial = run(0);
-        assert_eq!(run(1), serial, "1 worker diverged");
-        assert_eq!(run(3), serial, "3 workers diverged");
-        assert_eq!(run(11), serial, "11 workers (more than nodes) diverged");
     }
 }

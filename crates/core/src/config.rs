@@ -17,7 +17,6 @@
 //! [sim]                        # optional serving-plane tunables
 //! quantum_ms = 5.0
 //! resize_latency_ms = 1.0
-//! threads = 4                  # node-plane step parallelism (same results)
 //!
 //! [run]
 //! horizon_secs = 30
@@ -156,10 +155,6 @@ pub struct SimSection {
     /// Time model: `"event-driven"` (default) or `"dense-quantum"` (the
     /// legacy stepper, kept as the executable specification).
     pub time_model: Option<String>,
-    /// Threads stepping the node plane (≥ 1). Defaults to the
-    /// `DILU_THREADS` environment variable, else 1. Reports are
-    /// byte-identical at every setting; this knob trades wall clock only.
-    pub threads: Option<u32>,
     /// Enables the per-phase wall-clock profiler (`dilu run --profile`).
     /// Observational only: reports are byte-identical either way.
     pub profile: Option<bool>,
@@ -212,13 +207,6 @@ impl SimSection {
                 "[sim] `batch_timeout_frac` must be in [0, 1], got {frac}"
             )));
         }
-        let threads = match self.threads {
-            None => d.threads,
-            Some(0) => {
-                return Err(ScenarioError::Config("[sim] `threads` must be at least 1".to_owned()));
-            }
-            Some(t) => t,
-        };
         let time_model = match self.time_model.as_deref() {
             None => d.time_model,
             Some("event-driven") => dilu_cluster::TimeModel::EventDriven,
@@ -252,7 +240,6 @@ impl SimSection {
                 true,
             )?,
             time_model,
-            threads,
             network: d.network,
             profile: self.profile.unwrap_or(d.profile),
             arrival_window: self.arrival_window.unwrap_or(d.arrival_window),
@@ -704,7 +691,6 @@ fn reject_unknown_keys(root: &Value) -> Result<(), ScenarioError> {
                 "stage_transfer_ms",
                 "resize_latency_ms",
                 "time_model",
-                "threads",
                 "profile",
                 "arrival_window",
                 "function_series",
@@ -967,6 +953,7 @@ arrivals = { process = "poisson", rate = 10.0 }
             ("tick_ms = 1.0", "tick_ms"), // shorter than the default 5 ms quantum
             ("batch_timeout_frac = 1.5", "batch_timeout_frac"),
             ("quantum_typo_ms = 5.0", "quantum_typo_ms"),
+            ("threads = 4", "threads"), // older scenario files may still set it
         ];
         for (line, needle) in cases {
             let text = format!(

@@ -31,6 +31,8 @@
 //! # Ok::<(), dilu_core::ScenarioError>(())
 //! ```
 
+use std::collections::BTreeSet;
+
 use dilu_cluster::ClusterReport;
 use dilu_cluster::{
     Autoscaler, ClusterSim, ClusterSpec, DeployError, ElasticityController, FunctionId,
@@ -168,6 +170,9 @@ pub struct ScenarioBuilder {
     controller: Option<Box<dyn ElasticityController>>,
     share_policy: Option<Box<dyn PolicyFactory>>,
     functions: Vec<FunctionEntry>,
+    /// Ids of `functions`, so the duplicate check stays O(log n) per add
+    /// (fleet scenarios add ten thousand functions).
+    ids: BTreeSet<FunctionId>,
     horizon: SimDuration,
     drain: SimDuration,
     seed: u64,
@@ -183,6 +188,7 @@ impl Default for ScenarioBuilder {
             controller: None,
             share_policy: None,
             functions: Vec::new(),
+            ids: BTreeSet::new(),
             horizon: SimDuration::from_secs(60),
             drain: SimDuration::from_secs(5),
             seed: 7,
@@ -207,21 +213,6 @@ impl ScenarioBuilder {
     /// Sets the serving-plane tunables.
     pub fn sim_config(mut self, config: SimConfig) -> Self {
         self.sim = config;
-        self
-    }
-
-    /// Sets the node-plane step parallelism (`[sim] threads`), keeping the
-    /// rest of the sim config. Reports are byte-identical at every
-    /// setting, so this trades wall clock only. Zero is rejected at
-    /// [`build`](Self::build), exactly as the TOML and CLI front doors
-    /// reject it.
-    pub fn threads(mut self, threads: u32) -> Self {
-        if threads == 0 {
-            self.misuse
-                .get_or_insert(ScenarioError::Config("`threads` must be at least 1".to_owned()));
-        } else {
-            self.sim.threads = threads;
-        }
         self
     }
 
@@ -320,7 +311,7 @@ impl ScenarioBuilder {
     /// ([`arrivals`](Self::arrivals), [`initial_instances`](Self::initial_instances),
     /// [`starts_at`](Self::starts_at)) apply to this function.
     pub fn function(mut self, spec: FunctionSpec) -> Self {
-        if self.functions.iter().any(|e| e.spec.id == spec.id) && self.misuse.is_none() {
+        if !self.ids.insert(spec.id) && self.misuse.is_none() {
             self.misuse = Some(ScenarioError::DuplicateFunction(spec.id));
         }
         let workload = if spec.kind.is_inference() {

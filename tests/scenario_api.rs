@@ -33,14 +33,6 @@ fn missing_components_are_typed_errors() {
 }
 
 #[test]
-fn zero_threads_is_builder_misuse() {
-    // The builder rejects `threads(0)` at build, exactly as the TOML
-    // (`[sim] threads = 0`) and CLI (`--threads 0`) front doors do.
-    let err = SystemKind::Dilu.builder().threads(0).build_sim();
-    assert!(matches!(&err, Err(ScenarioError::Config(msg)) if msg.contains("threads")), "{err:?}");
-}
-
-#[test]
 fn workload_misuse_is_recorded_and_reported() {
     // arrivals() before any function().
     let err = SystemKind::Dilu.builder().arrivals(PoissonProcess::new(5.0, 1)).build();
