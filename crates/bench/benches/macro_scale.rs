@@ -74,7 +74,7 @@ fn main() {
     assert!(gpus >= 512, "macro-scale means at least 512 GPUs, got {gpus}");
     assert!(horizon_secs >= 3600, "macro-scale means at least one simulated hour");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let cpu = cpu_model();
+    let cpu = dilu_bench::cpu_model();
 
     println!(
         "== macro-scale: {gpus} GPUs, {horizon_secs} s simulated, event + dense \
@@ -153,19 +153,6 @@ fn main() {
         "acceptance: event engine must be at least 5x faster than dense stepping \
          on the macro-scale scenario (got {speedup:.2}x)"
     );
-}
-
-/// The CPU model named by `/proc/cpuinfo`, `"unknown"` where unreadable.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, model)| model.trim().to_owned())
-        })
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn s(text: &str) -> serde::Value {

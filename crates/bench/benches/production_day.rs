@@ -3,8 +3,9 @@
 //! simulated day, ≥10 million requests) through the streaming arrival
 //! plane, then again with `arrival_window = 0` (every schedule
 //! materialized up front), verifies the two reports are byte-identical,
-//! and records wall time plus peak RSS in `BENCH_production_day.json` at
-//! the repository root so future PRs track the macro-tier trajectory.
+//! and records wall time, peak RSS, requests arrived and completed, and
+//! the host (cores, CPU model) in `BENCH_production_day.json` at the
+//! repository root so future PRs track the macro-tier trajectory.
 //!
 //! Peak RSS is `VmHWM` from `/proc/self/status` — a process-wide
 //! high-water mark, so the streamed lane runs (and is measured) first;
@@ -59,9 +60,12 @@ fn main() {
     assert!(functions >= 10_000, "production day means a 10k-function fleet, got {functions}");
     assert!(horizon_secs >= 86_400, "production day means a full simulated day");
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let cpu = dilu_bench::cpu_model();
+
     println!(
         "== production-day: {functions} functions, {horizon_secs} s simulated, \
-         streamed then materialized =="
+         streamed then materialized ({cores} cores, {cpu}) =="
     );
 
     // Streamed lane first: its peak RSS must be read before anything
@@ -69,9 +73,10 @@ fn main() {
     let (streamed_report, streamed_secs) = run(&config, None);
     let streamed_rss = peak_rss_bytes();
     let requests: u64 = streamed_report.inference.values().map(|f| f.arrived).sum();
+    let completed: u64 = streamed_report.inference.values().map(|f| f.completed).sum();
     println!(
         "streaming (bounded window): {streamed_secs:.1} s wall, peak RSS {} MiB, \
-         {requests} requests",
+         {requests} requests arrived, {completed} completed",
         streamed_rss >> 20,
     );
     assert!(requests >= 10_000_000, "production day means at least 10M requests, got {requests}");
@@ -94,9 +99,12 @@ fn main() {
     let out = repo_root().join("BENCH_production_day.json");
     let value = serde::Value::Map(vec![
         (s("scenario"), s("examples/scenarios/production-day.toml")),
+        (s("cores"), serde::Value::UInt(cores)),
+        (s("cpu_model"), s(&cpu)),
         (s("functions"), serde::Value::UInt(u64::from(functions))),
         (s("simulated_secs"), serde::Value::UInt(horizon_secs)),
         (s("requests_arrived"), serde::Value::UInt(requests)),
+        (s("requests_completed"), serde::Value::UInt(completed)),
         (s("streamed_wall_secs"), serde::Value::Float(round2(streamed_secs))),
         (s("streamed_peak_rss_bytes"), serde::Value::UInt(streamed_rss)),
         (s("materialized_wall_secs"), serde::Value::Float(round2(materialized_secs))),

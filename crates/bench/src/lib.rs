@@ -32,3 +32,17 @@ pub fn run_registered(name: &str) {
     }
     println!("[{name} completed in {:.1}s]\n", started.elapsed().as_secs_f64());
 }
+
+/// The CPU model named by `/proc/cpuinfo`, `"unknown"` where unreadable —
+/// the host fingerprint every committed `BENCH_*.json` records.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned())
+}

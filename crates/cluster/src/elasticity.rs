@@ -13,6 +13,13 @@
 //! node plane. Identical on both time models (the tick runs inside the
 //! shared controller phase), which is what keeps audit content and
 //! reports byte-identical across dense and event-driven execution.
+//!
+//! The per-function capacities in each view (`capacity_rps`,
+//! `capacity_rps_at_limit`) are cached per function and re-derived only
+//! after a resize applies. An applied resize also bumps the capacity epoch,
+//! which unparks every function whose last placement failed (see
+//! [`lifecycle`](crate::lifecycle)): re-quotaed residents, or the function's
+//! own new quota, may make it fit.
 
 use std::collections::BTreeMap;
 
@@ -183,6 +190,10 @@ impl ClusterSim {
             }
             f.spec.quotas.request = r.request;
             f.spec.quotas.limit = r.limit;
+            f.capacity = None;
+            // Re-quotaed residents (or this function's own new quota) can
+            // turn a failed placement into a fit: unpark everyone.
+            self.capacity_epoch += 1;
             let ids = f.instance_ids.clone();
             for uid in ids {
                 let Some(inst) = self.instances.get(&uid) else {
@@ -339,6 +350,7 @@ impl ClusterSim {
                     InstanceState::Draining => {}
                 }
             }
+            let (capacity_rps, capacity_rps_at_limit) = f.capacity();
             views.push(FunctionScaleView {
                 func: *id,
                 kind: f.spec.kind,
@@ -346,14 +358,14 @@ impl ClusterSim {
                 ready_instances: ready,
                 starting_instances: starting,
                 backlog,
-                capacity_rps: f.spec.capacity_rps(),
+                capacity_rps,
                 max_idle,
                 pending_fetch_bytes: fetch_bytes.get(id).copied().unwrap_or(0),
                 quota: QuotaView {
                     request: f.spec.quotas.request,
                     limit: f.spec.quotas.limit,
                     headroom: headroom.get(id).copied().unwrap_or(SmRate::ZERO),
-                    capacity_rps_at_limit: f.spec.capacity_rps_at(f.spec.quotas.limit),
+                    capacity_rps_at_limit,
                 },
             });
         }

@@ -9,6 +9,16 @@
 //! teardown). The node plane is only touched through
 //! [`NodePlane`](crate::nodes) wrappers so occupancy accounting stays
 //! exact.
+//!
+//! **Parked demand.** A launch whose placement fails parks its function at
+//! the cluster's capacity epoch, which every termination (reap, drain
+//! completion, training completion or rollback) and every applied resize
+//! bumps. Until the epoch moves, launches of a parked function return
+//! `Err` at once: no view refill, no `place` call. The
+//! [`Placement`](crate::Placement) failure contract makes the skip exact —
+//! a placement that failed fails again on a view that only gained load — so
+//! a starved fleet costs one failed placement per function per capacity
+//! change instead of one per scale-out request, and reports do not move.
 
 use std::collections::VecDeque;
 
@@ -19,8 +29,8 @@ use crate::instance::Instance;
 use crate::sim::{new_func_state, ArrivalStream, SimEvent};
 use crate::traits::ClusterView;
 use crate::{
-    cold_start_duration, ClusterSim, FunctionId, FunctionKind, FunctionSpec, InstanceState,
-    InstanceUid,
+    cold_start_duration, ClusterSim, FunctionId, FunctionKind, FunctionSpec, GpuAddr,
+    InstanceState, InstanceUid,
 };
 
 /// Errors surfaced by deployment calls.
@@ -466,6 +476,8 @@ impl ClusterSim {
         let Some(inst) = self.instances.remove(&uid) else {
             return;
         };
+        // Freed capacity: every parked scale-out may fit again.
+        self.capacity_epoch += 1;
         if matches!(inst.state, InstanceState::Draining) {
             self.draining_count = self.draining_count.saturating_sub(1);
         }
@@ -496,29 +508,46 @@ impl ClusterSim {
         func: FunctionId,
         prewarmed: bool,
     ) -> Result<InstanceUid, ()> {
-        let spec = self.funcs.get(&func).ok_or(())?.spec.clone();
-        let mut view = std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
-        self.fill_cluster_view(&mut view);
-        let placed = self.placement.place(&spec, &view);
-        self.view_scratch = view;
-        let gpus = placed.ok_or(())?;
-        debug_assert_eq!(gpus.len() as u32, spec.gpus_per_instance);
+        if self.funcs.get(&func).ok_or(())?.parked_at == self.capacity_epoch {
+            // Placement already failed at this epoch and, by the
+            // `Placement` contract, fails again until capacity is freed.
+            // Debug builds re-run it to check exactly that.
+            self.parked_launches += 1;
+            #[cfg(debug_assertions)]
+            assert!(
+                self.place_on_current_view(func).is_none(),
+                "{func} is parked at capacity epoch {} but placement {} now fits it: a \
+                 capacity change did not bump the epoch, or the policy breaks the failure \
+                 contract",
+                self.capacity_epoch,
+                self.placement.name()
+            );
+            return Err(());
+        }
+        let placed = self.place_on_current_view(func);
+        let spec = &self.funcs[&func].spec;
+        let (model, quotas, width) = (spec.model, spec.quotas, spec.gpus_per_instance);
+        let inference = spec.kind.is_inference();
+        let Some(gpus) = placed else {
+            self.funcs.get_mut(&func).expect("checked above").parked_at = self.capacity_epoch;
+            return Err(());
+        };
+        debug_assert_eq!(gpus.len() as u32, width);
         let uid = InstanceUid(self.next_uid);
         self.next_uid += 1;
-        let class =
-            if spec.kind.is_inference() { TaskClass::SloSensitive } else { TaskClass::BestEffort };
+        let class = if inference { TaskClass::SloSensitive } else { TaskClass::BestEffort };
         let node = gpus[0].node as usize;
         let state = if prewarmed {
             // Prewarming ships the weights ahead of time, so the node
             // cache holds the model from here on.
             if let Some(net) = self.net.as_mut() {
-                net.caches[node].insert(spec.model, spec.model.profile().param_bytes);
+                net.caches[node].insert(model, model.profile().param_bytes);
             }
             InstanceState::Running
         } else if self.net.is_some() {
             let net = self.net.as_mut().expect("checked above");
             let provision = net.cfg.provision;
-            if net.caches[node].contains(&spec.model) {
+            if net.caches[node].contains(&model) {
                 // Weights already on the node: only the provision residue
                 // (container/runtime setup) stands between us and Running.
                 if let Some(f) = self.funcs.get_mut(&func) {
@@ -540,19 +569,14 @@ impl ClusterSim {
                 net.plane.start_fetch(
                     self.now,
                     node,
-                    spec.model.profile().param_bytes,
-                    crate::netplane::NetPayload::Fetch {
-                        uid,
-                        func,
-                        model: spec.model,
-                        launched: self.now,
-                    },
+                    model.profile().param_bytes,
+                    crate::netplane::NetPayload::Fetch { uid, func, model, launched: self.now },
                 );
                 self.sync_net_events();
                 InstanceState::ColdStarting { ready_at: SimTime::MAX }
             }
         } else {
-            let delay = cold_start_duration(spec.model);
+            let delay = cold_start_duration(model);
             if let Some(f) = self.funcs.get_mut(&func) {
                 f.cold_starts.record(delay);
             }
@@ -579,9 +603,9 @@ impl ClusterSim {
             let slot = inst.slot_id(stage);
             let cfg = SlotConfig {
                 class,
-                request: spec.quotas.request,
-                limit: spec.quotas.limit,
-                mem_bytes: spec.quotas.mem_bytes,
+                request: quotas.request,
+                limit: quotas.limit,
+                mem_bytes: quotas.mem_bytes,
             };
             if self.event_active {
                 // Close any idle gap *before* the new slot joins the
@@ -610,5 +634,14 @@ impl ClusterSim {
         }
         self.instances.insert(uid, inst);
         Ok(uid)
+    }
+
+    /// Runs placement for `func` on a freshly filled view of the cluster.
+    fn place_on_current_view(&mut self, func: FunctionId) -> Option<Vec<GpuAddr>> {
+        let mut view = std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
+        self.fill_cluster_view(&mut view);
+        let placed = self.placement.place(&self.funcs[&func].spec, &view);
+        self.view_scratch = view;
+        placed
     }
 }

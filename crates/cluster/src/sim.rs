@@ -321,6 +321,33 @@ pub(crate) struct FuncState {
     pub(crate) sec_violations: u64,
     pub(crate) sec_blocks: u64,
     pub(crate) kernel_series: Vec<(u64, u64)>,
+    /// `(spec.capacity_rps(), spec.capacity_rps_at(spec.quotas.limit))`,
+    /// cached because the controller reads both for every function on every
+    /// tick. `None` until first read, and again after a resize rewrites the
+    /// quotas: deriving it at deploy time would put two profile evaluations
+    /// per function into scenario build.
+    pub(crate) capacity: Option<(f64, f64)>,
+    /// The [`ClusterSim::capacity_epoch`] at which placement last failed
+    /// for this function ([`NOT_PARKED`] if it never failed). While it
+    /// equals the live epoch, launches skip placement: the [`Placement`]
+    /// contract guarantees it would fail again. Once the epoch moves on, the
+    /// stale value simply lets the next launch try.
+    pub(crate) parked_at: u64,
+}
+
+/// [`FuncState::parked_at`] of a function with no parked demand (the epoch
+/// counts up from 0 and never reaches it).
+pub(crate) const NOT_PARKED: u64 = u64::MAX;
+
+impl FuncState {
+    /// One instance's serving capacity in RPS at the current `request` and
+    /// `limit` quotas, derived on first use and cached until the next resize.
+    pub(crate) fn capacity(&mut self) -> (f64, f64) {
+        let spec = &self.spec;
+        *self
+            .capacity
+            .get_or_insert_with(|| (spec.capacity_rps(), spec.capacity_rps_at(spec.quotas.limit)))
+    }
 }
 
 /// The serving-plane simulator. See the [crate docs](crate) for the model.
@@ -403,6 +430,14 @@ pub struct ClusterSim {
     /// Reused controller/placement view: refilled in place each tick so
     /// the per-GPU `residents` vectors amortise to zero allocations.
     pub(crate) view_scratch: ClusterView,
+    /// Bumped by every change that can free capacity or re-quota a
+    /// resident — instance termination (reap, drain completion, training
+    /// completion and rollback) and every applied resize. Launches only
+    /// add load, so they leave it alone. A function whose placement failed
+    /// at the current epoch is parked until the epoch moves.
+    pub(crate) capacity_epoch: u64,
+    /// Launches skipped because their function was parked.
+    pub(crate) parked_launches: u64,
     pub(crate) fragmentation: FragmentationStats,
     pub(crate) occupied_series: Vec<(u64, u32)>,
     pub(crate) total_blocks_sec: u64,
@@ -503,6 +538,8 @@ impl ClusterSim {
             wake_ready_buf: Vec::new(),
             wake_expired_buf: Vec::new(),
             view_scratch: ClusterView { gpus: Vec::new() },
+            capacity_epoch: 0,
+            parked_launches: 0,
             fragmentation: FragmentationStats::new(),
             occupied_series: Vec::new(),
             total_blocks_sec: 0,
@@ -611,6 +648,13 @@ impl ClusterSim {
     /// maintained occupancy counter.
     pub fn occupied_gpus(&self) -> u32 {
         self.nodes.occupied()
+    }
+
+    /// Instance launches skipped without consulting placement because
+    /// their function's last placement failed and no capacity has been
+    /// freed or re-quotaed since (see the [`Placement`] failure contract).
+    pub fn parked_launches(&self) -> u64 {
+        self.parked_launches
     }
 
     /// Runs the simulation until `t_end`, using the configured
@@ -1158,5 +1202,7 @@ pub(crate) fn new_func_state(spec: FunctionSpec, arrivals: Vec<SimTime>) -> Func
         sec_violations: 0,
         sec_blocks: 0,
         kernel_series: Vec::new(),
+        capacity: None,
+        parked_at: NOT_PARKED,
     }
 }

@@ -87,6 +87,22 @@ impl ClusterView {
 /// Returns `gpus_per_instance` addresses (one per pipeline stage), or `None`
 /// when the instance cannot be placed. Implementations must respect memory
 /// capacity; quota caps (Ω/γ) are policy-specific.
+///
+/// # Failure contract
+///
+/// [`ClusterSim`](crate::ClusterSim) parks a function whose placement
+/// failed and does not ask again until capacity is freed or re-quotaed (an
+/// instance terminates or a resize applies). That is only sound because
+/// every implementation guarantees, for a `None` result:
+///
+/// * the call changed no policy state, so a repeat call with the same
+///   spec and view is `None` too;
+/// * the same spec stays `None` on any view that differs only by added
+///   residents, or by a higher Σ`request`, Σ`limit` or memory reservation
+///   on some GPU — failure is monotone in load;
+/// * no successful placement of *another* function makes it fit.
+///
+/// Debug builds re-run every skipped placement and assert it still fails.
 pub trait Placement {
     /// Picks GPUs for one new instance of `func`.
     fn place(&mut self, func: &FunctionSpec, cluster: &ClusterView) -> Option<Vec<GpuAddr>>;

@@ -122,7 +122,8 @@ where
 ///
 /// Each launch of a function pops the next pinned assignment; when a
 /// function's queue is exhausted the last assignment is reused (repeat
-/// launches land on the same GPUs).
+/// launches land on the same GPUs). A function never pinned gets `None`
+/// without touching the table, as the `Placement` failure contract asks.
 #[derive(Debug, Clone, Default)]
 pub struct PinnedPlacement {
     assignments: BTreeMap<FunctionId, VecDeque<Vec<GpuAddr>>>,
@@ -204,6 +205,21 @@ mod tests {
         assert_eq!(p.place(&spec(1), &cv), Some(vec![b]));
         // Unknown function: no placement.
         assert_eq!(p.place(&spec(2), &cv), None);
+    }
+
+    #[test]
+    fn pinned_placement_failure_is_stateless() {
+        // The `Placement` failure contract: a `None` changes nothing, so it
+        // repeats, and other functions' launches cannot make it fit.
+        let mut p = PinnedPlacement::new();
+        let a = GpuAddr { node: 0, gpu: 0 };
+        p.pin(FunctionId(1), vec![a]);
+        let cv = ClusterView { gpus: Vec::new() };
+        assert_eq!(p.place(&spec(2), &cv), None);
+        assert_eq!(p.place(&spec(2), &cv), None);
+        assert_eq!(p.place(&spec(1), &cv), Some(vec![a]));
+        assert_eq!(p.place(&spec(2), &cv), None);
+        assert_eq!(p.place(&spec(1), &cv), Some(vec![a]));
     }
 
     #[test]
