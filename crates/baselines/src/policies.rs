@@ -76,6 +76,11 @@ impl SharePolicy for MpsPolicy {
             QuotaSource::Limit => "mps-l",
         }
     }
+
+    fn idle_converged(&self) -> bool {
+        // Grants are a pure function of each view's quotas; nothing is kept.
+        true
+    }
 }
 
 /// TGS-style transparent sharing (Wu et al., NSDI '23).
@@ -272,6 +277,24 @@ mod tests {
         let g = tick(&mut r, &views);
         assert_eq!(grant_of(&g, 1), 0.30);
         assert_eq!(grant_of(&g, 2), 0.40);
+    }
+
+    #[test]
+    fn only_stateless_baselines_claim_idle_convergence() {
+        // MPS keeps nothing between cycles. TGS and FaST-GS read
+        // `idle_quanta`, which an early-ended replay does not present
+        // cycle by cycle, so they keep the full replay.
+        let views = [view(1, TaskClass::SloSensitive, 30.0, 60.0, 5)];
+        let mut mps = MpsPolicy::new(QuotaSource::Limit);
+        let mut tgs = TgsPolicy::new();
+        let mut fast = FastGsPolicy::new();
+        for p in [&mut mps as &mut dyn SharePolicy, &mut tgs, &mut fast] {
+            tick(p, &views);
+        }
+        assert!(mps.idle_converged());
+        assert!(MpsPolicy::new(QuotaSource::Request).idle_converged());
+        assert!(!tgs.idle_converged());
+        assert!(!fast.idle_converged());
     }
 
     #[test]

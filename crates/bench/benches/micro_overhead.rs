@@ -1,12 +1,17 @@
 //! Criterion micro-benchmarks for the paper's overhead claims:
 //! scheduling 3,200 instances "within 1.12 seconds" and per-instance
-//! token-issue overhead "less than 1 ms".
+//! token-issue overhead "less than 1 ms". Two per-layer groups time the
+//! simulator's innermost loop: one GPU engine step under RCKM, and the
+//! idle-cycle catch-up replay with and without RCKM's early exit.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dilu_cluster::{
     ClusterView, FunctionId, FunctionKind, FunctionSpec, GpuView, Placement, Quotas,
 };
-use dilu_gpu::{InstanceId, InstanceView, SharePolicy, SmRate, TaskClass, GB};
+use dilu_gpu::{
+    GpuEngine, Grant, InstanceId, InstanceView, SharePolicy, SlotConfig, SmRate, StepOutcome,
+    TaskClass, WorkItem, GB,
+};
 use dilu_models::ModelId;
 use dilu_rckm::{RckmConfig, RckmPolicy};
 use dilu_scheduler::{DiluScheduler, SchedulerConfig};
@@ -78,5 +83,129 @@ fn bench_token_issue(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_scheduling, bench_token_issue);
+/// A GPU with `residents` instances (alternating inference and training)
+/// under a fresh RCKM token manager.
+fn rckm_gpu(residents: u64) -> (GpuEngine, RckmPolicy) {
+    let mut gpu = GpuEngine::new(40 * GB);
+    for i in 0..residents {
+        let class = if i % 2 == 0 { TaskClass::SloSensitive } else { TaskClass::BestEffort };
+        let config = SlotConfig {
+            class,
+            request: SmRate::from_percent(20.0),
+            limit: SmRate::from_percent(50.0),
+            mem_bytes: 4 * GB,
+        };
+        gpu.admit(InstanceId(i + 1), config).expect("fits in memory");
+    }
+    (gpu, RckmPolicy::new(RckmConfig::default()))
+}
+
+/// One engine step (`step_into`: views, RCKM grants, contention
+/// resolution, per-slot progress) with every resident busy.
+fn bench_gpu_engine_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gpu_engine_step");
+    group.sample_size(20_000);
+    for residents in [1u64, 2, 4] {
+        let (mut gpu, mut policy) = rckm_gpu(residents);
+        for i in 0..residents {
+            // Long enough never to finish inside the timed steps.
+            let item = WorkItem::compute(
+                SimDuration::from_secs(3_600),
+                SmRate::from_percent(40.0),
+                1 << 40,
+                i,
+            );
+            gpu.push_work(InstanceId(i + 1), item).expect("resident");
+        }
+        let mut out = StepOutcome::default();
+        let mut now = SimTime::ZERO;
+        group.bench_function(&format!("rckm_{residents}_busy"), |b| {
+            b.iter(|| {
+                gpu.step_into(now, &mut policy, &mut out);
+                now += gpu.quantum();
+                out.total_used
+            })
+        });
+    }
+    group.finish();
+}
+
+/// RCKM behind a wrapper that forwards everything except
+/// `idle_converged`, so every replay runs to its cap: the full-replay
+/// oracle the early exit is measured against.
+struct FullReplay(RckmPolicy);
+
+impl SharePolicy for FullReplay {
+    fn allocate(
+        &mut self,
+        now: SimTime,
+        quantum: SimDuration,
+        views: &[InstanceView],
+    ) -> Vec<Grant> {
+        self.0.allocate(now, quantum, views)
+    }
+
+    fn allocate_into(
+        &mut self,
+        now: SimTime,
+        quantum: SimDuration,
+        views: &[InstanceView],
+        out: &mut Vec<Grant>,
+    ) {
+        self.0.allocate_into(now, quantum, views, out);
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn idle_history_cycles(&self) -> u64 {
+        self.0.idle_history_cycles()
+    }
+}
+
+/// A 96-cycle idle catch-up on a 4-resident GPU right after a busy step,
+/// the event core's idle→busy transition.
+fn bench_idle_replay(c: &mut Criterion) {
+    let mut group = c.benchmark_group("idle_replay");
+    group.sample_size(2_000);
+    let cycles = dilu_gpu::IDLE_HISTORY_CYCLES;
+    let after_busy_step = || {
+        let (mut gpu, mut policy) = rckm_gpu(4);
+        for i in 0..4 {
+            let item =
+                WorkItem::compute(SimDuration::from_millis(2), SmRate::from_percent(20.0), 64, i);
+            gpu.push_work(InstanceId(i + 1), item).expect("resident");
+        }
+        gpu.step(SimTime::ZERO, &mut policy);
+        (gpu, policy)
+    };
+    let from = SimTime::ZERO + SimDuration::from_millis(5);
+    group.bench_function("rckm_96_cycles_early_exit", |b| {
+        b.iter_batched(
+            after_busy_step,
+            |(mut gpu, mut policy)| gpu.idle_fastforward(from, cycles, &mut policy),
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("rckm_96_cycles_full", |b| {
+        b.iter_batched(
+            || {
+                let (gpu, policy) = after_busy_step();
+                (gpu, FullReplay(policy))
+            },
+            |(mut gpu, mut policy)| gpu.idle_fastforward(from, cycles, &mut policy),
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_scheduling,
+    bench_token_issue,
+    bench_gpu_engine_step,
+    bench_idle_replay
+);
 criterion_main!(benches);

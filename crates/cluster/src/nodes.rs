@@ -16,6 +16,7 @@
 use std::collections::BTreeSet;
 
 use dilu_gpu::{Completion, GpuEngine, GpuError, InstanceId, SlotConfig, StepOutcome};
+use dilu_metrics::IdleReplayStats;
 use dilu_sim::{SimDuration, SimTime};
 
 use crate::{ClusterSpec, GpuAddr, PolicyFactory};
@@ -27,7 +28,9 @@ use crate::{ClusterSpec, GpuAddr, PolicyFactory};
 // than that cannot change any subsequent grant. Each `GpuSlot` asks its
 // policy rather than assuming a constant — a policy with a longer memory
 // (wider window, shallower ramp) raises its own cap instead of silently
-// breaking the event-driven ≡ dense equivalence.
+// breaking the event-driven ≡ dense equivalence. The cap is only an upper
+// bound: the engine ends a replay as soon as the policy reports
+// `SharePolicy::idle_converged`.
 
 /// One GPU of the node plane: the engine, its share policy, and the
 /// event-core bookkeeping that keeps skipped quanta invisible.
@@ -41,6 +44,8 @@ pub(crate) struct GpuSlot {
     /// The event core uses the gap to this instant to replay skipped idle
     /// cycles into the share policy.
     pub(crate) last_step: Option<SimTime>,
+    /// Idle replays run on this GPU (reported by the phase profile).
+    pub(crate) replay: IdleReplayStats,
 }
 
 impl GpuSlot {
@@ -65,7 +70,8 @@ impl GpuSlot {
         if gap_cycles > 0 {
             let replay = gap_cycles.min(self.policy.idle_history_cycles().max(1));
             let from = now - quantum * replay;
-            self.engine.idle_fastforward(from, replay, self.policy.as_mut());
+            let run = self.engine.idle_fastforward(from, replay, self.policy.as_mut());
+            self.replay.record(replay, run);
         }
         self.last_step = Some(now);
         self.engine.step_into(now, self.policy.as_mut(), out);
@@ -99,7 +105,8 @@ impl GpuSlot {
         let gap_cycles = (through - expected).as_micros() / quantum.as_micros() + 1;
         let replay = gap_cycles.min(self.policy.idle_history_cycles().max(1));
         let from = through - quantum * (replay - 1);
-        self.engine.idle_fastforward(from, replay, self.policy.as_mut());
+        let run = self.engine.idle_fastforward(from, replay, self.policy.as_mut());
+        self.replay.record(replay, run);
         self.last_step = Some(through);
     }
 }
@@ -189,6 +196,7 @@ impl NodePlane {
                         policy: policy_factory.make(),
                         used_accum: 0.0,
                         last_step: None,
+                        replay: IdleReplayStats::default(),
                     })
                     .collect(),
                 busy: BTreeSet::new(),
@@ -213,6 +221,15 @@ impl NodePlane {
     /// All slots, mutable, in node-major (dense `gpu_addrs()`) order.
     pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = &mut GpuSlot> {
         self.nodes.iter_mut().flat_map(|n| n.slots.iter_mut())
+    }
+
+    /// Idle-replay counters summed over every GPU.
+    pub(crate) fn idle_replay(&self) -> IdleReplayStats {
+        let mut total = IdleReplayStats::default();
+        for slot in self.nodes.iter().flat_map(|n| &n.slots) {
+            total.merge(&slot.replay);
+        }
+        total
     }
 
     /// Admits an engine slot on `addr`, maintaining the occupancy counter.

@@ -592,7 +592,10 @@ impl ClusterSim {
     /// on; `None` otherwise. May be read mid-run (counters are cumulative)
     /// or after the horizon.
     pub fn phase_profile(&self) -> Option<PhaseProfile> {
-        self.profiler.is_enabled().then(|| self.profiler.finish())
+        self.profiler.is_enabled().then(|| PhaseProfile {
+            idle_replay: self.nodes.idle_replay(),
+            ..self.profiler.finish()
+        })
     }
 
     /// Registers an observer invoked with every event-core pop, in

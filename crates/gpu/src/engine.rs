@@ -1,6 +1,6 @@
 //! The quantum-stepped GPU execution engine.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use dilu_sim::{SimDuration, SimTime};
 
@@ -114,13 +114,17 @@ pub struct GpuEngine {
     quantum: SimDuration,
     mem_capacity: u64,
     mem_used: u64,
-    slots: BTreeMap<InstanceId, Slot>,
+    /// Resident slots sorted by ascending id. A GPU holds a handful of
+    /// residents, so a flat vector with binary search beats a tree map,
+    /// and slot *i* lines up with view *i* and the policy's grant *i*.
+    slots: Vec<(InstanceId, Slot)>,
     blocks_total: u64,
     /// Reused per-step scratch for policy views (hot-loop allocation
     /// avoidance; cleared each step).
     view_buf: Vec<InstanceView>,
-    /// Reused per-step scratch for resolved effective rates.
-    eff_buf: Vec<(InstanceId, f64)>,
+    /// Reused per-step scratch for resolved effective rates, one per slot
+    /// in slot order.
+    eff_buf: Vec<f64>,
     /// Reused per-step scratch for policy grants.
     grant_buf: Vec<Grant>,
 }
@@ -143,7 +147,7 @@ impl GpuEngine {
             quantum,
             mem_capacity,
             mem_used: 0,
-            slots: BTreeMap::new(),
+            slots: Vec::new(),
             blocks_total: 0,
             view_buf: Vec::new(),
             eff_buf: Vec::new(),
@@ -173,12 +177,27 @@ impl GpuEngine {
 
     /// Resident instance ids in deterministic (ascending) order.
     pub fn instances(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.slots.keys().copied()
+        self.slots.iter().map(|&(id, _)| id)
     }
 
     /// Total kernel blocks issued by all instances since creation.
     pub fn blocks_total(&self) -> u64 {
         self.blocks_total
+    }
+
+    /// The index of `id` in `slots`, or where it would be inserted.
+    fn position(&self, id: InstanceId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&id, |&(sid, _)| sid)
+    }
+
+    fn slot(&self, id: InstanceId) -> Result<&Slot, GpuError> {
+        let i = self.position(id).map_err(|_| GpuError::UnknownInstance(id))?;
+        Ok(&self.slots[i].1)
+    }
+
+    fn slot_mut(&mut self, id: InstanceId) -> Result<&mut Slot, GpuError> {
+        let i = self.position(id).map_err(|_| GpuError::UnknownInstance(id))?;
+        Ok(&mut self.slots[i].1)
     }
 
     /// Admits an instance, reserving its memory.
@@ -188,25 +207,29 @@ impl GpuEngine {
     /// Returns [`GpuError::DuplicateInstance`] if `id` is already resident
     /// and [`GpuError::OutOfMemory`] if the reservation does not fit.
     pub fn admit(&mut self, id: InstanceId, config: SlotConfig) -> Result<(), GpuError> {
-        if self.slots.contains_key(&id) {
-            return Err(GpuError::DuplicateInstance(id));
-        }
+        let at = match self.position(id) {
+            Ok(_) => return Err(GpuError::DuplicateInstance(id)),
+            Err(at) => at,
+        };
         let available = self.mem_capacity - self.mem_used;
         if config.mem_bytes > available {
             return Err(GpuError::OutOfMemory { requested: config.mem_bytes, available });
         }
         self.mem_used += config.mem_bytes;
         self.slots.insert(
-            id,
-            Slot {
-                config,
-                queue: VecDeque::new(),
-                active: None,
-                blocks_last_quantum: 0,
-                blocks_total: 0,
-                idle_quanta: 0,
-                last_klc_inflation: 0.0,
-            },
+            at,
+            (
+                id,
+                Slot {
+                    config,
+                    queue: VecDeque::new(),
+                    active: None,
+                    blocks_last_quantum: 0,
+                    blocks_total: 0,
+                    idle_quanta: 0,
+                    last_klc_inflation: 0.0,
+                },
+            ),
         );
         Ok(())
     }
@@ -217,7 +240,8 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn evict(&mut self, id: InstanceId) -> Result<(), GpuError> {
-        let slot = self.slots.remove(&id).ok_or(GpuError::UnknownInstance(id))?;
+        let i = self.position(id).map_err(|_| GpuError::UnknownInstance(id))?;
+        let (_, slot) = self.slots.remove(i);
         self.mem_used -= slot.config.mem_bytes;
         Ok(())
     }
@@ -241,7 +265,7 @@ impl GpuEngine {
         request: SmRate,
         limit: SmRate,
     ) -> Result<(), GpuError> {
-        let slot = self.slots.get_mut(&id).ok_or(GpuError::UnknownInstance(id))?;
+        let slot = self.slot_mut(id)?;
         let request = request.min(SmRate::FULL);
         slot.config.request = request;
         slot.config.limit = limit.max(request);
@@ -254,8 +278,7 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn push_work(&mut self, id: InstanceId, item: WorkItem) -> Result<(), GpuError> {
-        let slot = self.slots.get_mut(&id).ok_or(GpuError::UnknownInstance(id))?;
-        slot.queue.push_back(item);
+        self.slot_mut(id)?.queue.push_back(item);
         Ok(())
     }
 
@@ -265,7 +288,7 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn queue_len(&self, id: InstanceId) -> Result<usize, GpuError> {
-        self.slots.get(&id).map(Slot::queue_len).ok_or(GpuError::UnknownInstance(id))
+        self.slot(id).map(Slot::queue_len)
     }
 
     /// Kernel blocks issued by one instance since admission.
@@ -274,12 +297,12 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn instance_blocks_total(&self, id: InstanceId) -> Result<u64, GpuError> {
-        self.slots.get(&id).map(|s| s.blocks_total).ok_or(GpuError::UnknownInstance(id))
+        self.slot(id).map(|s| s.blocks_total)
     }
 
     /// `true` when no instance has pending work.
     pub fn is_idle(&self) -> bool {
-        self.slots.values().all(|s| s.queue_len() == 0)
+        self.slots.iter().all(|(_, s)| s.queue_len() == 0)
     }
 
     /// The next instant at which this GPU needs to be stepped, given the
@@ -313,30 +336,51 @@ impl GpuEngine {
     /// policy (grants are discarded — nothing can run), and ages the idle
     /// counters, in exactly the dense order.
     ///
-    /// Callers cap `cycles` (policy state reaches a fixed point once every
-    /// per-slot window has filled with zeros), so a long gap costs a
-    /// bounded replay rather than O(gap).
+    /// Callers cap `cycles` at the policy's
+    /// [`idle_history_cycles`](SharePolicy::idle_history_cycles) bound
+    /// (policy state reaches a fixed point once every per-slot window has
+    /// filled with zeros), so a long gap costs a bounded replay rather than
+    /// O(gap). The cap is an upper bound: after each replayed cycle the
+    /// policy is asked whether it has [converged](SharePolicy::idle_converged),
+    /// and if so the remaining cycles only age every slot's idle counter,
+    /// leaving the engine and the policy in exactly the state the full
+    /// replay would. Returns the number of cycles actually replayed.
     ///
     /// No work progresses during the replay. Callers normally invoke this
     /// while the engine is idle; if items are already queued (a deployment
     /// landing right after an idle gap), the replayed views anachronistically
     /// show their head demand — a bounded approximation, since grants are
     /// discarded either way.
-    pub fn idle_fastforward(&mut self, from: SimTime, cycles: u64, policy: &mut dyn SharePolicy) {
+    pub fn idle_fastforward(
+        &mut self,
+        from: SimTime,
+        cycles: u64,
+        policy: &mut dyn SharePolicy,
+    ) -> u64 {
         let mut now = from;
         let mut views = std::mem::take(&mut self.view_buf);
         let mut grants = std::mem::take(&mut self.grant_buf);
-        for _ in 0..cycles {
+        let mut run = 0;
+        while run < cycles {
             self.views_into(&mut views);
             policy.allocate_into(now, self.quantum, &views, &mut grants);
-            for slot in self.slots.values_mut() {
+            for (_, slot) in &mut self.slots {
                 slot.blocks_last_quantum = 0;
                 slot.idle_quanta = slot.idle_quanta.saturating_add(1);
             }
             now += self.quantum;
+            run += 1;
+            if run < cycles && policy.idle_converged() {
+                let rest = u32::try_from(cycles - run).unwrap_or(u32::MAX);
+                for (_, slot) in &mut self.slots {
+                    slot.idle_quanta = slot.idle_quanta.saturating_add(rest);
+                }
+                break;
+            }
         }
         self.view_buf = views;
         self.grant_buf = grants;
+        run
     }
 
     /// Builds policy views of all resident instances (ascending id order).
@@ -349,7 +393,7 @@ impl GpuEngine {
     /// [`views`](Self::views) into a caller-owned buffer (cleared first).
     fn views_into(&self, buf: &mut Vec<InstanceView>) {
         buf.clear();
-        buf.extend(self.slots.iter().map(|(&id, slot)| InstanceView {
+        buf.extend(self.slots.iter().map(|&(id, ref slot)| InstanceView {
             id,
             class: slot.config.class,
             request: slot.config.request,
@@ -383,7 +427,7 @@ impl GpuEngine {
         outcome: &mut StepOutcome,
     ) {
         // Activate head items so demand reflects this quantum's work.
-        for slot in self.slots.values_mut() {
+        for (_, slot) in &mut self.slots {
             if slot.active.is_none() {
                 if let Some(item) = slot.queue.pop_front() {
                     slot.active = Some(Active {
@@ -409,8 +453,7 @@ impl GpuEngine {
         self.grant_buf = grants;
 
         let quantum = self.quantum;
-        for (&id, slot) in self.slots.iter_mut() {
-            let eff = effective.iter().find(|(gid, _)| *gid == id).map(|&(_, e)| e).unwrap_or(0.0);
+        for (&mut (id, ref mut slot), &eff) in self.slots.iter_mut().zip(&effective) {
             let (used, blocks) =
                 advance_slot(id, slot, now, quantum, eff, &mut outcome.completions);
             slot.blocks_last_quantum = blocks;
@@ -435,24 +478,28 @@ impl GpuEngine {
     /// spread kernels across the whole active-thread allotment even past
     /// the marginal-benefit knee), so contention is resolved over grants;
     /// the useful share is clamped to the item's saturation later.
-    fn resolve_grants(&self, grants: &[Grant], effective: &mut Vec<(InstanceId, f64)>) {
+    ///
+    /// `effective[i]` belongs to slot *i*. Shipped policies return one
+    /// grant per view in view order, so grant *i* is normally slot *i*'s;
+    /// any other layout falls back to a search by id.
+    fn resolve_grants(&self, grants: &[Grant], effective: &mut Vec<f64>) {
         effective.clear();
         let mut total = 0.0;
-        for (&id, slot) in self.slots.iter() {
-            let granted = grants
-                .iter()
-                .find(|g| g.id == id)
-                .map(|g| g.smr.as_fraction())
-                .unwrap_or(0.0)
-                .min(1.0);
+        for (i, (id, slot)) in self.slots.iter().enumerate() {
+            let granted = match grants.get(i) {
+                Some(g) if g.id == *id => Some(g),
+                _ => grants.iter().find(|g| g.id == *id),
+            }
+            .map_or(0.0, |g| g.smr.as_fraction())
+            .min(1.0);
             // Idle (or empty) slots occupy nothing regardless of grant.
             let eff = if slot.head_demand().is_zero() { 0.0 } else { granted };
             total += eff;
-            effective.push((id, eff));
+            effective.push(eff);
         }
         if total > 1.0 {
             let scale = 1.0 / total;
-            for (_, eff) in effective.iter_mut() {
+            for eff in effective.iter_mut() {
                 *eff *= scale;
             }
         }
@@ -880,6 +927,100 @@ mod tests {
         }
         fast.idle_fastforward(SimTime::ZERO, 7, &mut fast_policy);
         assert_eq!(dense_policy.seen, fast_policy.seen);
+        assert_eq!(dense.views(), fast.views());
+    }
+
+    /// A policy with idle-converging state: each instance's grant resets
+    /// when it issues blocks and doubles per workless cycle up to the
+    /// whole GPU, like RCKM's multiplicative ramp.
+    #[derive(Debug, Default)]
+    struct Settling {
+        ramp: Vec<(InstanceId, f64)>,
+        converged: bool,
+    }
+
+    impl SharePolicy for Settling {
+        fn allocate(
+            &mut self,
+            _now: SimTime,
+            _quantum: SimDuration,
+            views: &[InstanceView],
+        ) -> Vec<Grant> {
+            let mut unchanged = self.ramp.len() == views.len();
+            self.ramp.retain(|(id, _)| views.iter().any(|v| v.id == *id));
+            let mut grants = Vec::new();
+            for v in views {
+                let next = match self.ramp.iter().position(|(id, _)| *id == v.id) {
+                    Some(i) => {
+                        let r = self.ramp[i].1;
+                        let next =
+                            if v.blocks_last_quantum > 0 { 0.25 } else { (r * 2.0).min(1.0) };
+                        unchanged &= next == r;
+                        self.ramp[i].1 = next;
+                        next
+                    }
+                    None => {
+                        self.ramp.push((v.id, 0.25));
+                        0.25
+                    }
+                };
+                grants.push(Grant { id: v.id, smr: SmRate::from_fraction(next) });
+            }
+            self.converged = unchanged;
+            grants
+        }
+
+        fn name(&self) -> &str {
+            "settling"
+        }
+
+        fn idle_converged(&self) -> bool {
+            self.converged
+        }
+    }
+
+    #[test]
+    fn converged_idle_fastforward_matches_dense_idle_stepping() {
+        // One busy quantum, then a 40-cycle idle gap: stepped densely on one
+        // engine, fast-forwarded on the other, where the policy converges
+        // after a few cycles and the replay ends early. Views (idle
+        // counters included), policy state and the next busy step must all
+        // be identical.
+        let work = |tag| {
+            WorkItem::compute(SimDuration::from_millis(3), SmRate::from_percent(40.0), 100, tag)
+        };
+        let build = || {
+            let mut gpu = GpuEngine::new(GB * 4);
+            gpu.admit(InstanceId(1), slot(TaskClass::SloSensitive, 40.0, 80.0)).unwrap();
+            gpu.admit(InstanceId(2), slot(TaskClass::BestEffort, 30.0, 60.0)).unwrap();
+            gpu.push_work(InstanceId(2), work(1)).unwrap();
+            let mut policy = Settling::default();
+            gpu.step(SimTime::ZERO, &mut policy);
+            assert!(gpu.is_idle(), "the busy quantum drains its work");
+            (gpu, policy)
+        };
+        let ((mut dense, mut dense_policy), (mut fast, mut fast_policy)) = (build(), build());
+        let gap = 40;
+        let mut now = SimTime::ZERO + dense.quantum();
+        for _ in 0..gap {
+            dense.step(now, &mut dense_policy);
+            now += dense.quantum();
+        }
+        let run = fast.idle_fastforward(SimTime::ZERO + fast.quantum(), gap, &mut fast_policy);
+        assert!(run < gap / 4, "the replay should end early, ran {run} of {gap}");
+        assert_eq!(dense.views(), fast.views());
+        assert_eq!(fast.views()[0].idle_quanta, gap as u32 + 1);
+        assert_eq!(format!("{dense_policy:?}"), format!("{fast_policy:?}"));
+
+        for gpu in [&mut dense, &mut fast] {
+            gpu.push_work(InstanceId(1), work(2)).unwrap();
+            gpu.push_work(InstanceId(2), work(3)).unwrap();
+        }
+        let a = dense.step(now, &mut dense_policy);
+        let b = fast.step(now, &mut fast_policy);
+        assert_eq!(a.completions, b.completions);
+        assert_eq!(a.blocks_issued, b.blocks_issued);
+        assert_eq!(a.total_used, b.total_used);
         assert_eq!(dense.views(), fast.views());
     }
 

@@ -43,6 +43,11 @@ impl SharePolicy for FairSharePolicy {
     fn name(&self) -> &str {
         "fair-share"
     }
+
+    fn idle_converged(&self) -> bool {
+        // `allocate` reads the views and updates nothing.
+        true
+    }
 }
 
 /// A static spatial partition: each instance is permanently capped at a
@@ -121,6 +126,11 @@ impl SharePolicy for StaticPartitionPolicy {
     fn name(&self) -> &str {
         "static-partition"
     }
+
+    fn idle_converged(&self) -> bool {
+        // `allocate` reads the views and updates nothing.
+        true
+    }
 }
 
 #[cfg(test)]
@@ -147,6 +157,12 @@ mod tests {
         let grants =
             FairSharePolicy.allocate(SimTime::ZERO, SimDuration::from_millis(5), &[view(1, 50.0)]);
         assert_eq!(grants, vec![Grant { id: InstanceId(1), smr: SmRate::FULL }]);
+    }
+
+    #[test]
+    fn stateless_policies_are_always_idle_converged() {
+        assert!(FairSharePolicy.idle_converged());
+        assert!(StaticPartitionPolicy::new([(InstanceId(1), SmRate::FULL)]).idle_converged());
     }
 
     #[test]

@@ -8,9 +8,11 @@ use crate::{InstanceId, SmRate, TaskClass};
 /// 5 ms quantum): how many fully-workless cycles a shipped policy needs
 /// before its derived per-instance state provably reaches a fixed point
 /// (kernel-rate windows filled with zeros, multiplicative grant ramps at
-/// their ceilings). The event-driven driver replays exactly
+/// their ceilings). The event-driven driver replays at most
 /// [`SharePolicy::idle_history_cycles`] idle cycles — this value unless
-/// the policy overrides — before stepping a GPU after a longer gap.
+/// the policy overrides — before stepping a GPU after a longer gap. It is
+/// an upper bound: a replay ends earlier as soon as the policy reports
+/// [`SharePolicy::idle_converged`].
 pub const IDLE_HISTORY_CYCLES: u64 = 96;
 
 /// A read-only view of one resident instance, handed to policies each
@@ -45,9 +47,11 @@ pub struct InstanceView {
     /// into the policy with a bounded number of cycles (see
     /// [`GpuEngine::idle_fastforward`](crate::GpuEngine::idle_fastforward)),
     /// so after such a gap this counter advances by at most the replay cap
-    /// rather than the true gap length. Policies whose decisions hinge on
-    /// idle spans longer than that cap should derive idleness from the
-    /// `now` passed to [`SharePolicy::allocate`] instead.
+    /// rather than the true gap length. A replay that ends early on
+    /// [`SharePolicy::idle_converged`] still ages it by the whole capped
+    /// count. Policies whose decisions hinge on idle spans longer than
+    /// that cap should derive idleness from the `now` passed to
+    /// [`SharePolicy::allocate`] instead.
     pub idle_quanta: u32,
 }
 
@@ -75,10 +79,12 @@ pub struct Grant {
 /// this policy's own [`idle_history_cycles`](Self::idle_history_cycles)
 /// bound; see
 /// [`GpuEngine::idle_fastforward`](crate::GpuEngine::idle_fastforward))
-/// before the next real step. Policies whose derived per-instance state
-/// converges to a fixed point within that many workless cycles — windows
-/// filling with zeros, multiplicative ramps reaching their ceilings, as
-/// RCKM's do — behave identically under dense and event-driven stepping.
+/// before the next real step, ending the replay early once the policy
+/// reports [`idle_converged`](Self::idle_converged). Policies whose
+/// derived per-instance state converges to a fixed point within that many
+/// workless cycles — windows filling with zeros, multiplicative ramps
+/// reaching their ceilings, as RCKM's do — behave identically under dense
+/// and event-driven stepping.
 /// A custom policy whose state converges more slowly must override
 /// [`idle_history_cycles`](Self::idle_history_cycles) with its true
 /// bound; one whose behaviour depends on *unboundedly* long idle spans
@@ -88,7 +94,9 @@ pub struct Grant {
 pub trait SharePolicy {
     /// Computes grants for the quantum starting at `now`.
     ///
-    /// Instances absent from the returned vector receive a zero grant.
+    /// Instances absent from the returned vector receive a zero grant; an
+    /// instance appears at most once. Returning the grants in view order
+    /// lets the engine match them without a search.
     /// Grants above an instance's demand are clamped by the engine; the sum
     /// of grants may oversubscribe the GPU, in which case the engine shares
     /// physical capacity proportionally to the clamped grants.
@@ -138,9 +146,10 @@ pub trait SharePolicy {
     /// cycles than this provably cannot change any subsequent grant.
     ///
     /// The event-driven driver uses this as its idle-replay cap: after a
-    /// gap longer than the cap it replays exactly this many trailing
-    /// idle cycles instead of the whole gap, and the bound is what makes
-    /// that shortcut byte-identical to dense stepping. A policy whose
+    /// gap longer than the cap it replays at most this many trailing idle
+    /// cycles instead of the whole gap (fewer once
+    /// [`idle_converged`](Self::idle_converged) holds), and the bound is
+    /// what makes that shortcut byte-identical to dense stepping. A policy whose
     /// state converges more slowly (longer rate windows, shallower
     /// ramps, explicit idle counters) must override this with its true
     /// bound — or track long idleness via `now` in
@@ -150,6 +159,28 @@ pub trait SharePolicy {
     /// policy's windows and ramps with a wide margin.
     fn idle_history_cycles(&self) -> u64 {
         IDLE_HISTORY_CYCLES
+    }
+
+    /// `true` when further workless cycles provably leave this policy's
+    /// state untouched, so an idle replay may stop early.
+    ///
+    /// [`GpuEngine::idle_fastforward`](crate::GpuEngine::idle_fastforward)
+    /// asks after every replayed cycle. On `true` it skips the remaining
+    /// cycles and only ages every slot's `idle_quanta` by their count (a
+    /// full replay discards their grants anyway). That is byte-identical
+    /// to the full replay only if both of these hold:
+    ///
+    /// 1. the last [`allocate_into`](Self::allocate_into) changed no policy
+    ///    state; and
+    /// 2. another call whose views differ from the last ones only in
+    ///    `idle_quanta`, a zero `blocks_last_quantum` and a later `now`
+    ///    would again change no policy state.
+    ///
+    /// A policy that reads `idle_quanta` or `now` must therefore keep the
+    /// default `false` unless its state provably ignores them once idle.
+    /// Only the replay consults this; ordinary steps never do.
+    fn idle_converged(&self) -> bool {
+        false
     }
 }
 

@@ -30,4 +30,6 @@ mod profiler;
 pub use counters::{ColdStartCounter, GpuTimeMeter, RateWindow, ResizeCounter, SampleClock};
 pub use fragmentation::{FragmentationSnapshot, FragmentationStats, GpuUsageSample};
 pub use latency::LatencyRecorder;
-pub use profiler::{PhaseProfile, PhaseProfiler, PhaseStat, PhaseTimer, SimPhase, PHASE_COUNT};
+pub use profiler::{
+    IdleReplayStats, PhaseProfile, PhaseProfiler, PhaseStat, PhaseTimer, SimPhase, PHASE_COUNT,
+};

@@ -174,6 +174,7 @@ impl PhaseProfiler {
                 })
                 .collect(),
             wakes: self.wakes,
+            idle_replay: IdleReplayStats::default(),
         }
     }
 }
@@ -190,14 +191,51 @@ pub struct PhaseStat {
     pub events: u64,
 }
 
+/// Idle-replay counters of the event core: how often GPUs caught their
+/// share policy up over a workless gap, how many cycles the gaps asked
+/// for (after the policy's cap), and how many were replayed before the
+/// policy converged. Deterministic: they derive from simulation state
+/// only, never from the wall clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdleReplayStats {
+    /// Idle replays run.
+    pub replays: u64,
+    /// Cycles the replays asked for, each capped at the policy's bound.
+    pub cycles_requested: u64,
+    /// Cycles actually replayed; the rest were skipped once the policy
+    /// reported convergence.
+    pub cycles_run: u64,
+}
+
+impl IdleReplayStats {
+    /// Counts one replay that asked for `requested` cycles and ran `run`.
+    pub fn record(&mut self, requested: u64, run: u64) {
+        self.replays += 1;
+        self.cycles_requested += requested;
+        self.cycles_run += run;
+    }
+
+    /// Adds another set of counters into this one.
+    pub fn merge(&mut self, other: &IdleReplayStats) {
+        self.replays += other.replays;
+        self.cycles_requested += other.cycles_requested;
+        self.cycles_run += other.cycles_run;
+    }
+}
+
 /// The profiler's result: per-phase cumulative wall+event counters in
-/// canonical phase order, plus the wake count.
+/// canonical phase order, plus the wake count and the idle-replay
+/// counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Per-phase counters, in [`SimPhase::ALL`] order.
     pub phases: Vec<PhaseStat>,
     /// Simulation wakes measured (event-core wakes or dense quanta).
     pub wakes: u64,
+    /// Idle replays of the GPU share policies (all zero under the dense
+    /// stepper, which never skips a cycle). The profiler does not measure
+    /// these itself; the simulation fills them in.
+    pub idle_replay: IdleReplayStats,
 }
 
 impl PhaseProfile {
@@ -237,6 +275,16 @@ impl PhaseProfile {
             self.total_nanos() as f64 / 1e6,
             self.wakes,
         ));
+        let r = &self.idle_replay;
+        let run_pct = if r.cycles_requested == 0 {
+            0.0
+        } else {
+            r.cycles_run as f64 / r.cycles_requested as f64 * 100.0
+        };
+        out.push_str(&format!(
+            "idle_replay {} replays: {} cycles run of {} requested ({run_pct:.1}%)\n",
+            r.replays, r.cycles_run, r.cycles_requested,
+        ));
         out
     }
 }
@@ -256,10 +304,17 @@ impl Serialize for PhaseProfile {
                 )
             })
             .collect();
+        let r = &self.idle_replay;
+        let idle_replay = Value::Map(vec![
+            (Value::Str("replays".into()), Value::UInt(r.replays)),
+            (Value::Str("cycles_requested".into()), Value::UInt(r.cycles_requested)),
+            (Value::Str("cycles_run".into()), Value::UInt(r.cycles_run)),
+        ]);
         Value::Map(vec![
             (Value::Str("phases".into()), Value::Map(phases)),
             (Value::Str("total_nanos".into()), Value::UInt(self.total_nanos())),
             (Value::Str("wakes".into()), Value::UInt(self.wakes)),
+            (Value::Str("idle_replay".into()), idle_replay),
         ])
     }
 }
@@ -324,5 +379,8 @@ mod tests {
         let json = serde_json::to_string(&profile).expect("profile serializes");
         assert!(json.contains("\"net\""));
         assert!(json.contains("\"wakes\""));
+        assert!(json
+            .contains("\"idle_replay\":{\"replays\":0,\"cycles_requested\":0,\"cycles_run\":0}"));
+        assert!(rendered.contains("idle_replay"));
     }
 }

@@ -58,6 +58,8 @@ struct InstanceCtl {
     r_last: f64,
     /// Kernel blocks issued per recent cycle, newest last.
     window: VecDeque<u64>,
+    /// Σ `window`, kept exact as blocks enter and leave.
+    sum: u64,
 }
 
 impl InstanceCtl {
@@ -66,18 +68,17 @@ impl InstanceCtl {
             state: ScaleState::Contention,
             r_last: 0.0,
             window: VecDeque::with_capacity(rate_window),
+            sum: 0,
         }
     }
 
-    fn push_rate(&mut self, blocks: u64, cap: usize) {
-        if self.window.len() == cap {
-            self.window.pop_front();
-        }
+    /// Records one cycle's kernel blocks. Returns `true` when the window
+    /// is unchanged: it was full of zeros and took another zero.
+    fn push_rate(&mut self, blocks: u64, cap: usize) -> bool {
+        let popped = if self.window.len() == cap { self.window.pop_front() } else { None };
         self.window.push_back(blocks);
-    }
-
-    fn window_sum(&self) -> u64 {
-        self.window.iter().sum()
+        self.sum = self.sum - popped.unwrap_or(0) + blocks;
+        popped == Some(0) && blocks == 0 && self.sum == 0
     }
 }
 
@@ -87,22 +88,25 @@ impl InstanceCtl {
 #[derive(Debug, Clone)]
 pub struct RckmPolicy {
     config: RckmConfig,
-    /// Per-instance control state, in first-seen order. A linear small-vec
-    /// instead of a hash map: the token manager runs once per 5 ms cycle
-    /// per GPU with a handful of residents, so in the simulator's hot loop
-    /// a few `u64` compares beat hashing by a wide margin.
+    /// Per-instance control state, in the order of the last cycle's views,
+    /// so entry *i* belongs to view *i*. A linear small-vec instead of a
+    /// hash map: the token manager runs once per 5 ms cycle per GPU with a
+    /// handful of residents, so in the simulator's hot loop a few `u64`
+    /// compares beat hashing by a wide margin.
     ctl: Vec<(InstanceId, InstanceCtl)>,
-    /// Reused per-cycle scratch: each view's kernel-rate window sum.
-    sum_buf: Vec<u64>,
     /// The SLO-sensitive instance currently holding the EMERGENCY state,
     /// with its last observed ΔT. Only this instance may reset it (§3.4.1).
     emergency: Option<(InstanceId, f64)>,
+    /// `true` when the last cycle changed no state: the same residents,
+    /// every window full of zeros taking a zero, the same emergency, and
+    /// every `(state, r_last)` unchanged (see [`SharePolicy::idle_converged`]).
+    converged: bool,
 }
 
 impl RckmPolicy {
     /// Creates a token manager with the given tunables.
     pub fn new(config: RckmConfig) -> Self {
-        RckmPolicy { config, ctl: Vec::new(), sum_buf: Vec::new(), emergency: None }
+        RckmPolicy { config, ctl: Vec::new(), emergency: None, converged: false }
     }
 
     /// The configuration in effect.
@@ -118,6 +122,27 @@ impl RckmPolicy {
     /// The scaling state of `id`, if tracked.
     pub fn state_of(&self, id: InstanceId) -> Option<ScaleState> {
         self.ctl.iter().find(|(cid, _)| *cid == id).map(|(_, c)| c.state)
+    }
+
+    /// Brings `ctl` into view order: one entry per view, survivors keeping
+    /// their state, newcomers starting fresh, departed instances dropped.
+    /// Returns `true` when the residents (and their order) were unchanged.
+    fn align(&mut self, views: &[InstanceView]) -> bool {
+        let same = self.ctl.len() == views.len()
+            && self.ctl.iter().zip(views).all(|((id, _), v)| *id == v.id);
+        if same {
+            return true;
+        }
+        // In place, so churn allocates no new vector: `ctl[..i]` matches
+        // `views[..i]` after step i.
+        self.ctl.retain(|(id, _)| views.iter().any(|v| v.id == *id));
+        for (i, v) in views.iter().enumerate() {
+            match self.ctl[i..].iter().position(|(id, _)| *id == v.id) {
+                Some(j) => self.ctl.swap(i, i + j),
+                None => self.ctl.insert(i, (v.id, InstanceCtl::new(self.config.rate_window))),
+            }
+        }
+        false
     }
 
     /// The burst/contention pressure of an instance: relative KLC inflation,
@@ -178,42 +203,27 @@ impl SharePolicy for RckmPolicy {
         grants: &mut Vec<Grant>,
     ) {
         let cfg = self.config;
-        // Drop state for departed instances.
-        self.ctl.retain(|(id, _)| views.iter().any(|v| v.id == *id));
-        for v in views {
-            match self.ctl.iter_mut().find(|(id, _)| *id == v.id) {
-                Some((_, c)) => c.push_rate(v.blocks_last_quantum, cfg.rate_window),
-                None => {
-                    let mut c = InstanceCtl::new(cfg.rate_window);
-                    c.push_rate(v.blocks_last_quantum, cfg.rate_window);
-                    self.ctl.push((v.id, c));
-                }
-            }
+        let mut unchanged = self.align(views);
+        for ((_, c), v) in self.ctl.iter_mut().zip(views) {
+            unchanged &= c.push_rate(v.blocks_last_quantum, cfg.rate_window);
         }
+        let before = self.emergency;
         self.refresh_emergency(views);
+        unchanged &= self.emergency == before;
         let emergency = self.emergency;
 
-        // Each view's kernel-rate window sum, computed once per cycle (the
-        // idle/contention branches below would otherwise re-derive them
-        // quadratically).
-        let mut sums = std::mem::take(&mut self.sum_buf);
-        sums.clear();
-        sums.extend(views.iter().map(|v| {
-            self.ctl.iter().find(|(id, _)| *id == v.id).map(|(_, c)| c.window_sum()).unwrap_or(0)
-        }));
-
-        // Activity of SLO-sensitive co-runners, for best-effort ramping.
+        // Activity of SLO-sensitive co-runners, for best-effort ramping,
+        // and how many residents issued any kernel in their window.
         let slo_active: bool =
-            views.iter().zip(&sums).any(|(v, &sum)| v.class.is_slo_sensitive() && sum > 0);
+            views.iter().zip(&self.ctl).any(|(v, (_, c))| v.class.is_slo_sensitive() && c.sum > 0);
+        let busy = self.ctl.iter().filter(|(_, c)| c.sum > 0).count();
 
         grants.clear();
         grants.reserve(views.len());
-        for (i, v) in views.iter().enumerate() {
-            let others_idle = sums.iter().enumerate().all(|(j, &sum)| j == i || sum == 0);
+        for (v, (_, ctl)) in views.iter().zip(&mut self.ctl) {
+            let my_sum = ctl.sum;
+            let others_idle = busy == usize::from(my_sum > 0);
             let alone = views.len() == 1;
-            let my_sum = sums[i];
-            let (_, ctl) =
-                self.ctl.iter_mut().find(|(id, _)| *id == v.id).expect("ctl inserted above");
             let request = cfg.max_tokens * v.request.as_fraction();
             let limit = cfg.max_tokens * v.limit.as_fraction();
 
@@ -252,11 +262,12 @@ impl SharePolicy for RckmPolicy {
                 (ScaleState::Contention, request)
             };
 
+            unchanged &= ctl.state == state && ctl.r_last.to_bits() == issue.to_bits();
             ctl.state = state;
             ctl.r_last = issue;
             grants.push(Grant { id: v.id, smr: SmRate::from_fraction(issue.max(0.0)) });
         }
-        self.sum_buf = sums;
+        self.converged = unchanged;
     }
 
     fn notify_resize(&mut self, id: InstanceId, request: SmRate, limit: SmRate) {
@@ -269,6 +280,7 @@ impl SharePolicy for RckmPolicy {
             let ceiling = self.config.max_tokens * limit.as_fraction();
             ctl.r_last = ctl.r_last.clamp(floor.min(ceiling), ceiling);
         }
+        self.converged = false;
     }
 
     fn name(&self) -> &str {
@@ -295,6 +307,12 @@ impl SharePolicy for RckmPolicy {
         };
         (cfg.rate_window as u64 + cfg.queue_pressure as u64 + ramp)
             .max(dilu_gpu::IDLE_HISTORY_CYCLES)
+    }
+
+    fn idle_converged(&self) -> bool {
+        // RCKM reads neither `now` nor `idle_quanta`, so a cycle that
+        // changed nothing on all-zero windows repeats itself exactly.
+        self.converged
     }
 }
 
@@ -437,6 +455,42 @@ mod tests {
         assert!(p.state_of(InstanceId(2)).is_some());
         tick(&mut p, &[view(1, TaskClass::SloSensitive, 30.0, 60.0, 50, 0.0)]);
         assert_eq!(p.state_of(InstanceId(2)), None);
+    }
+
+    #[test]
+    fn survivors_keep_their_state_across_churn() {
+        // Two idle inference residents let a training job ramp toward its
+        // limit. Evicting the middle resident and admitting a lower id must
+        // carry each survivor's state and ramp over, not restart them.
+        let mut p = RckmPolicy::new(RckmConfig::default());
+        let before = [
+            view(2, TaskClass::SloSensitive, 30.0, 60.0, 0, 0.0),
+            view(3, TaskClass::SloSensitive, 30.0, 60.0, 0, 0.0),
+            view(4, TaskClass::BestEffort, 20.0, 90.0, 80, 0.0),
+        ];
+        let mut g = Vec::new();
+        for _ in 0..4 {
+            g = tick(&mut p, &before);
+        }
+        let ramped = grant_of(&g, 4);
+        assert!((ramped - 0.2 * 1.3f64.powi(4)).abs() < 1e-9, "ramp {ramped}");
+        let state_2 = p.state_of(InstanceId(2));
+        assert_eq!(state_2, Some(ScaleState::Recovery));
+        assert_eq!(p.state_of(InstanceId(4)), Some(ScaleState::Recovery));
+
+        let after = [
+            view(1, TaskClass::SloSensitive, 30.0, 60.0, 0, 0.0),
+            view(2, TaskClass::SloSensitive, 30.0, 60.0, 0, 0.0),
+            view(4, TaskClass::BestEffort, 20.0, 90.0, 80, 0.0),
+        ];
+        let g = tick(&mut p, &after);
+        assert!((grant_of(&g, 4) - ramped * 1.3).abs() < 1e-9, "ramp carried over");
+        assert_eq!(p.state_of(InstanceId(2)), state_2);
+        assert_eq!(p.state_of(InstanceId(4)), Some(ScaleState::Recovery));
+        assert_eq!(p.state_of(InstanceId(3)), None, "departed resident dropped");
+        assert_eq!(p.state_of(InstanceId(1)), Some(ScaleState::Recovery));
+        assert!((grant_of(&g, 1) - 0.30).abs() < 1e-9, "newcomer starts at request");
+        assert!(!p.idle_converged(), "a churned cycle changed state");
     }
 
     #[test]
