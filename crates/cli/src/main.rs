@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use dilu_core::experiments::{self, ExperimentCtx};
 use dilu_core::table::Table;
-use dilu_core::{Registry, ScenarioConfig, SystemKind};
+use dilu_core::{Registry, ScenarioConfig, SystemKind, SystemSection};
 use dilu_models::ModelId;
 
 fn main() -> ExitCode {
@@ -736,7 +736,7 @@ fn cmd_list() -> Result<(), String> {
     let registry = Registry::with_defaults();
     println!("presets (SystemKind):");
     for kind in SystemKind::ALL {
-        println!("  {:12} {}", kind.name(), kind.label());
+        println!("  {:12} {:10} {}", kind.name(), kind.label(), spelling(&kind.spelling()));
     }
     println!("\nplacements:        {}", registry.placement_names().join(", "));
     println!("autoscalers:       {}", registry.autoscaler_names().join(", "));
@@ -754,4 +754,33 @@ fn cmd_list() -> Result<(), String> {
         println!("  {:8} {}", e.name(), e.title());
     }
     Ok(())
+}
+
+/// A composition as registry names, one `slot=name{key=value,...}` per
+/// filled slot.
+fn spelling(system: &SystemSection) -> String {
+    let slots = [
+        ("placement", &system.placement),
+        ("autoscaler", &system.autoscaler),
+        ("controller", &system.controller),
+        ("share_policy", &system.share_policy),
+    ];
+    let filled = slots.into_iter().filter_map(|(slot, component)| {
+        let component = component.as_ref()?;
+        let params: Vec<String> = component
+            .params
+            .entries()
+            .iter()
+            .map(|(key, value)| match value {
+                serde::Value::Bool(b) => format!("{key}={b}"),
+                other => format!("{key}={other:?}"),
+            })
+            .collect();
+        Some(if params.is_empty() {
+            format!("{slot}={}", component.name)
+        } else {
+            format!("{slot}={}{{{}}}", component.name, params.join(","))
+        })
+    });
+    filled.collect::<Vec<_>>().join(" ")
 }

@@ -35,6 +35,10 @@
 //! name = "dilu"
 //! gamma = 5.0                  # any extra key is a component parameter
 //! ```
+//!
+//! A preset is shorthand for three such tables (its
+//! [`SystemKind::spelling`]); it fills the slots the section leaves empty,
+//! and its components resolve through the same registry.
 
 use dilu_cluster::{ClusterSpec, SimConfig};
 use dilu_models::ModelId;
@@ -134,6 +138,63 @@ pub struct SystemSection {
     pub controller: Option<ComponentSection>,
     /// Share-policy override.
     pub share_policy: Option<ComponentSection>,
+}
+
+impl SystemSection {
+    /// Resolves the section into a [`ScenarioBuilder`] holding its
+    /// components: the one place a composition by name becomes components.
+    ///
+    /// A `preset` fills only the slots the section leaves empty (its
+    /// [`SystemKind::spelling`]). Every component, whether from the preset
+    /// or named directly, is built by `registry`; slots nothing fills stay
+    /// empty and fail at [`ScenarioBuilder::build`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Config`] when both `autoscaler` and `controller`
+    /// are set, and [`ScenarioError::Unknown`] for a preset or component
+    /// name `registry` does not know, or a component's own parameter error.
+    pub(crate) fn into_builder(
+        mut self,
+        registry: &Registry,
+    ) -> Result<ScenarioBuilder, ScenarioError> {
+        if self.autoscaler.is_some() && self.controller.is_some() {
+            return Err(ScenarioError::Config(
+                "[system] declares both `autoscaler` and `controller`; they fill the same \
+                 slot — keep one"
+                    .into(),
+            ));
+        }
+        if let Some(name) = self.preset.take() {
+            let preset = SystemKind::from_name(&name)
+                .ok_or_else(|| ScenarioError::Unknown {
+                    kind: "preset",
+                    name,
+                    known: SystemKind::names().iter().map(|&s| s.to_owned()).collect(),
+                })?
+                .spelling();
+            self.placement = self.placement.or(preset.placement);
+            if self.autoscaler.is_none() && self.controller.is_none() {
+                self.autoscaler = preset.autoscaler;
+                self.controller = preset.controller;
+            }
+            self.share_policy = self.share_policy.or(preset.share_policy);
+        }
+        let mut builder = ScenarioBuilder::new();
+        if let Some(p) = &self.placement {
+            builder = builder.placement_boxed(registry.placement(&p.name, &p.params)?);
+        }
+        if let Some(a) = &self.autoscaler {
+            builder = builder.autoscaler_boxed(registry.autoscaler(&a.name, &a.params)?);
+        }
+        if let Some(c) = &self.controller {
+            builder = builder.controller_boxed(registry.controller(&c.name, &c.params)?);
+        }
+        if let Some(s) = &self.share_policy {
+            builder = builder.share_policy_boxed(registry.share_policy(&s.name, &s.params)?);
+        }
+        Ok(builder)
+    }
 }
 
 /// Serving-plane tunables section (`[sim]`); every field defaults to
@@ -458,24 +519,16 @@ impl ScenarioConfig {
     }
 
     /// Maps the config onto a [`ScenarioBuilder`], resolving component
-    /// names through `registry`.
+    /// names — a preset's included — through `registry`.
     pub fn into_builder(self, registry: &Registry) -> Result<ScenarioBuilder, ScenarioError> {
         let run =
             self.run.unwrap_or(RunSection { horizon_secs: None, drain_secs: None, seed: None });
         let horizon = SimDuration::from_secs(run.horizon_secs.unwrap_or(60));
         let seed = run.seed.unwrap_or(7);
 
-        let mut builder = match &self.system.preset {
-            Some(preset) => SystemKind::from_name(preset)
-                .ok_or_else(|| ScenarioError::Unknown {
-                    kind: "preset",
-                    name: preset.clone(),
-                    known: SystemKind::names().iter().map(|&s| s.to_owned()).collect(),
-                })?
-                .builder(),
-            None => ScenarioBuilder::new(),
-        };
-        builder = builder
+        let mut builder = self
+            .system
+            .into_builder(registry)?
             .cluster(self.cluster.as_ref().map(ClusterSection::to_spec).unwrap_or_default())
             .horizon(horizon)
             .drain(SimDuration::from_secs(run.drain_secs.unwrap_or(5)))
@@ -487,26 +540,6 @@ impl ScenarioConfig {
         // network plane rides inside it.
         if let Some(net) = &self.network {
             builder = builder.network(net.to_config()?);
-        }
-
-        if let Some(p) = &self.system.placement {
-            builder = builder.placement_boxed(registry.placement(&p.name, &p.params)?);
-        }
-        if self.system.autoscaler.is_some() && self.system.controller.is_some() {
-            return Err(ScenarioError::Config(
-                "[system] declares both `autoscaler` and `controller`; they fill the same \
-                 slot — keep one"
-                    .into(),
-            ));
-        }
-        if let Some(a) = &self.system.autoscaler {
-            builder = builder.autoscaler_boxed(registry.autoscaler(&a.name, &a.params)?);
-        }
-        if let Some(c) = &self.system.controller {
-            builder = builder.controller_boxed(registry.controller(&c.name, &c.params)?);
-        }
-        if let Some(s) = &self.system.share_policy {
-            builder = builder.share_policy_boxed(registry.share_policy(&s.name, &s.params)?);
         }
 
         for (index, f) in self.functions.iter().enumerate() {

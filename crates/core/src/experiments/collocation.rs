@@ -3,17 +3,16 @@
 //! share policy, no autoscaling.
 
 use dilu_baselines::QuotaSource;
-use dilu_cluster::{
-    ClusterReport, ClusterSim, ClusterSpec, FunctionSpec, GpuAddr, PolicyFactory, SimConfig,
-};
+use dilu_cluster::{ClusterReport, ClusterSpec, FunctionSpec, GpuAddr, PolicyFactory};
 use dilu_rckm::RckmConfig;
-use dilu_sim::SimTime;
+use dilu_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::factories::{
     FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, PinnedPlacement, RckmFactory,
     TgsFactory,
 };
+use crate::Scenario;
 
 /// The share policies compared at GPU level.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -113,25 +112,22 @@ pub fn run_case(
             placement.pin(m.spec.id, pin.clone());
         }
     }
-    let factory = system.factory();
-    let mut sim = ClusterSim::new(
-        ClusterSpec::single_node(gpus),
-        SimConfig::default(),
-        Box::new(placement),
-        Box::new(NullAutoscaler),
-        factory.as_ref(),
-    );
+    let mut builder = Scenario::builder()
+        .cluster(ClusterSpec::single_node(gpus))
+        .placement(placement)
+        .autoscaler(NullAutoscaler)
+        .share_policy_boxed(system.factory())
+        .horizon(SimDuration::from_secs(horizon_secs))
+        .drain(SimDuration::ZERO);
     for m in members {
-        if m.spec.kind.is_inference() {
-            sim.deploy_inference(m.spec.clone(), m.pins.len() as u32, m.arrivals)
-                .unwrap_or_else(|e| panic!("deploy {}: {e}", m.spec.name));
+        builder = if m.spec.kind.is_inference() {
+            let instances = m.pins.len() as u32;
+            builder.function(m.spec).initial_instances(instances).arrival_times(m.arrivals)
         } else {
-            sim.deploy_training(m.spec.clone())
-                .unwrap_or_else(|e| panic!("deploy {}: {e}", m.spec.name));
-        }
+            builder.function(m.spec)
+        };
     }
-    sim.run_until(SimTime::from_secs(horizon_secs));
-    sim.into_report()
+    builder.build().and_then(Scenario::run).unwrap_or_else(|e| panic!("collocation case: {e}"))
 }
 
 /// Convenience: GPU 0 of a single-node cluster.

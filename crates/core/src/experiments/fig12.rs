@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::funcs;
 use crate::table::Table;
-use crate::{build_sim, SystemKind};
+use crate::{Scenario, SystemKind};
 
 const HORIZON_SECS: u64 = 400;
 
@@ -46,14 +46,18 @@ pub fn run() -> Fig12 {
         81,
     );
     let arrivals = TraceProcess::new(trace, 81).generate(SimTime::from_secs(HORIZON_SECS));
-    let mut sim = build_sim(SystemKind::Dilu, dilu_cluster::ClusterSpec::single_node(8));
-    let spec = funcs::inference_function(1, ModelId::RobertaLarge);
-    sim.deploy_inference(spec, 1, arrivals).expect("deploys on an empty cluster");
-    // A collocated training function keeps the GPUs contended, as in §5.3.
-    sim.deploy_training(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
-        .expect("training deploys");
-    sim.run_until(SimTime::from_secs(HORIZON_SECS + 10));
-    let report = sim.into_report();
+    let report = SystemKind::Dilu
+        .builder()
+        .cluster(dilu_cluster::ClusterSpec::single_node(8))
+        .horizon(SimDuration::from_secs(HORIZON_SECS))
+        .drain(SimDuration::from_secs(10))
+        .function(funcs::inference_function(1, ModelId::RobertaLarge))
+        .arrival_times(arrivals)
+        // A collocated training function keeps the GPUs contended, as in §5.3.
+        .function(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
+        .build()
+        .and_then(Scenario::run)
+        .expect("deploys on an empty cluster");
     let f = report.inference.values().next().expect("inference function");
     let points = f
         .timeline

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::funcs;
 use crate::table::Table;
-use crate::{build_sim, SystemKind};
+use crate::{Scenario, ScenarioBuilder, SystemKind};
 
 const HORIZON_SECS: u64 = 600;
 
@@ -40,7 +40,7 @@ pub struct Fig15 {
     pub rows: Vec<Row>,
 }
 
-fn deploy_workload(sim: &mut dilu_cluster::ClusterSim, kind: SystemKind) {
+fn with_workload(mut builder: ScenarioBuilder, kind: SystemKind) -> ScenarioBuilder {
     // Four training functions submitted at different times (§5.4): two
     // 2-worker and two 4-worker jobs sized to finish within the run.
     let trainings = [
@@ -50,12 +50,9 @@ fn deploy_workload(sim: &mut dilu_cluster::ClusterSim, kind: SystemKind) {
         (13, ModelId::RobertaLarge, 4, 1_200, 180),
     ];
     for (id, model, workers, iters, at) in trainings {
-        let spec = funcs::training_function(id, model, workers, iters);
-        if at == 0 {
-            sim.deploy_training(spec).expect("cluster has room at t=0");
-        } else {
-            sim.schedule_training(spec, SimTime::from_secs(at)).expect("valid training spec");
-        }
+        builder = builder
+            .function(funcs::training_function(id, model, workers, iters))
+            .starts_at(SimTime::from_secs(at));
     }
     // Three mixed-workload inference functions plus an LLM.
     let bursty = RateTrace::synthesize(
@@ -79,16 +76,14 @@ fn deploy_workload(sim: &mut dilu_cluster::ClusterSim, kind: SystemKind) {
         (3, ModelId::BertBase, PoissonProcess::new(50.0, 107).generate(horizon)),
     ];
     for (id, model, arrivals) in specs {
-        sim.deploy_inference(funcs::inference_function(id, model), 1, arrivals)
-            .expect("cluster has room at t=0");
+        builder = builder.function(funcs::inference_function(id, model)).arrival_times(arrivals);
     }
     let llm = if kind.distributes_llms() {
         funcs::llm_inference_function(4, ModelId::Llama2_7b, 4)
     } else {
         funcs::inference_function(4, ModelId::Llama2_7b)
     };
-    let llm_arrivals = PoissonProcess::new(2.0, 109).generate(horizon);
-    sim.deploy_inference(llm, 1, llm_arrivals).expect("cluster has room at t=0");
+    builder.function(llm).arrival_times(PoissonProcess::new(2.0, 109).generate(horizon))
 }
 
 fn collect(report: &ClusterReport) -> (f64, f64, Vec<(FunctionId, f64)>, u32, f64, f64) {
@@ -124,10 +119,15 @@ pub fn run() -> Fig15 {
     let mut rows = Vec::new();
     let mut exclusive_jcts: Vec<(FunctionId, f64)> = Vec::new();
     for kind in SystemKind::END_TO_END {
-        let mut sim = build_sim(kind, ClusterSpec::paper_testbed());
-        deploy_workload(&mut sim, kind);
-        sim.run_until(SimTime::from_secs(HORIZON_SECS + 30));
-        let report = sim.into_report();
+        let builder = kind
+            .builder()
+            .cluster(ClusterSpec::paper_testbed())
+            .horizon(SimDuration::from_secs(HORIZON_SECS))
+            .drain(SimDuration::from_secs(30));
+        let report = with_workload(builder, kind)
+            .build()
+            .and_then(Scenario::run)
+            .expect("cluster has room at t=0");
         let (mean_svr, max_svr, jcts, max_gpus, inf_good, train_good) = collect(&report);
         if kind == SystemKind::Exclusive {
             exclusive_jcts = jcts.clone();

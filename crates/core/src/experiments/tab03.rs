@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::funcs;
 use crate::table::Table;
-use crate::{build_sim, SystemKind};
+use crate::{Scenario, SystemKind};
 
 const HORIZON_SECS: u64 = 600;
 
@@ -47,15 +47,19 @@ fn run_one(kind: SystemKind, trace_kind: TraceKind) -> (u64, f64, f64) {
     let trace =
         RateTrace::synthesize(trace_kind, base, scale, SimDuration::from_secs(HORIZON_SECS), 91);
     let arrivals = TraceProcess::new(trace, 91).generate(SimTime::from_secs(HORIZON_SECS));
-    let mut sim = build_sim(kind, dilu_cluster::ClusterSpec::single_node(8));
-    sim.deploy_inference(funcs::inference_function(1, ModelId::RobertaLarge), 1, arrivals)
+    let report = kind
+        .builder()
+        .cluster(dilu_cluster::ClusterSpec::single_node(8))
+        .horizon(SimDuration::from_secs(HORIZON_SECS))
+        .drain(SimDuration::from_secs(20))
+        .function(funcs::inference_function(1, ModelId::RobertaLarge))
+        .arrival_times(arrivals)
+        // Background training occupies GPUs so scaling decisions have
+        // collocation consequences.
+        .function(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
+        .build()
+        .and_then(Scenario::run)
         .expect("deploys on an empty cluster");
-    // Background training occupies GPUs so scaling decisions have
-    // collocation consequences.
-    sim.deploy_training(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
-        .expect("training deploys");
-    sim.run_until(SimTime::from_secs(HORIZON_SECS + 20));
-    let report = sim.into_report();
     let f = report.inference.values().next().expect("inference function");
     (f.cold_starts.count(), f.svr(), report.instance_gpu_time.as_secs_f64())
 }

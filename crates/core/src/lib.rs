@@ -55,8 +55,10 @@
 //! ```
 //!
 //! The same compositions load from TOML/JSON via [`ScenarioConfig`] +
-//! [`Registry`], and `build_sim`/[`build_sim_with`] keep the original
-//! closed API working on top of the presets.
+//! [`Registry`]. A preset is data — three registry component names, its
+//! [`SystemKind::spelling`] — so the registry is the one place a name
+//! becomes a component, and every scenario (the paper experiments
+//! included) is composed by [`ScenarioBuilder`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,4 +84,4 @@ pub use factories::{
 };
 pub use registry::{Params, Registry};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};
-pub use system::{build_sim, build_sim_with, SystemKind, SystemOverrides};
+pub use system::SystemKind;

@@ -1,7 +1,8 @@
 //! String-keyed registries for placements, autoscalers, and share
 //! policies, so scenario config files (and external users) can name any
 //! component — built-in or registered at runtime — without touching an
-//! enum.
+//! enum. This is the one place a component name becomes a constructor:
+//! presets are spelled in these names too.
 //!
 //! Every constructor receives the component's parameter table as a
 //! [`serde::Value`] map; unknown parameter keys are rejected so config
@@ -249,9 +250,7 @@ impl Registry {
         r.register_autoscaler("lazy", |p| Ok(Box::new(LazyScaler::new(scaler_config(p)?))));
         r.register_autoscaler("keep-alive", |p| {
             p.expect_keys(&["keep_alive_secs"])?;
-            // Observation-3 default (50 s) — must match
-            // KeepAliveScaler::default() so the registry spelling composes
-            // the same system as the presets.
+            // Observation-3 default (50 s).
             match p.get("keep_alive_secs") {
                 None => Ok(Box::new(KeepAliveScaler::default())),
                 Some(_) => {

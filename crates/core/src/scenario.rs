@@ -6,9 +6,11 @@
 //! substrate: any [`Placement`], [`Autoscaler`], and [`PolicyFactory`] can
 //! be mixed freely, so new configurations (hybrid autoscalers,
 //! spatial-partition baselines, ...) need no enum variant or match arm.
-//! [`SystemKind`](crate::SystemKind) presets return pre-populated builders,
-//! and [`ScenarioConfig`](crate::ScenarioConfig) deserializes TOML/JSON
-//! straight into one.
+//! [`SystemKind`](crate::SystemKind) presets and
+//! [`ScenarioConfig`](crate::ScenarioConfig) files both name their
+//! components through a [`Registry`](crate::Registry) and land here, as do
+//! the paper experiments: every composition in the crate is a builder
+//! chain ending in [`build`](ScenarioBuilder::build).
 //!
 //! # Examples
 //!
@@ -90,7 +92,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::MissingPlacement => write!(f, "scenario has no placement policy"),
-            ScenarioError::MissingAutoscaler => write!(f, "scenario has no autoscaler"),
+            ScenarioError::MissingAutoscaler => {
+                write!(f, "scenario has no elasticity controller (autoscaler)")
+            }
             ScenarioError::MissingSharePolicy => {
                 write!(f, "scenario has no share-policy factory")
             }
@@ -149,9 +153,6 @@ struct FunctionEntry {
     spec: FunctionSpec,
     workload: Workload,
 }
-
-/// The three substrate components a scenario composes.
-type Components = (Box<dyn Placement>, Box<dyn ElasticityController>, Box<dyn PolicyFactory>);
 
 /// Fluent, open composition of a complete serving scenario.
 ///
@@ -412,8 +413,10 @@ impl ScenarioBuilder {
                 }
             },
             None => {
-                self.misuse
-                    .get_or_insert(ScenarioError::WrongRole { func, method: "arrival_times_for" });
+                self.misuse.get_or_insert(ScenarioError::Config(format!(
+                    "`arrival_times_for` names function {func}, which the scenario does not \
+                     declare"
+                )));
             }
         }
         self
@@ -446,36 +449,6 @@ impl ScenarioBuilder {
         })
     }
 
-    fn take_components(&mut self) -> Result<Components, ScenarioError> {
-        if let Some(misuse) = self.misuse.take() {
-            return Err(misuse);
-        }
-        let placement = self.placement.take().ok_or(ScenarioError::MissingPlacement)?;
-        let controller = self.controller.take().ok_or(ScenarioError::MissingAutoscaler)?;
-        let share_policy = self.share_policy.take().ok_or(ScenarioError::MissingSharePolicy)?;
-        Ok((placement, controller, share_policy))
-    }
-
-    /// Builds just the composed serving substrate, with no functions
-    /// attached — the old `build_sim_with` contract.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::MissingPlacement`] /
-    /// [`ScenarioError::MissingAutoscaler`] /
-    /// [`ScenarioError::MissingSharePolicy`] when a component is absent,
-    /// or any recorded builder misuse.
-    pub fn build_sim(mut self) -> Result<ClusterSim, ScenarioError> {
-        let (placement, controller, share_policy) = self.take_components()?;
-        Ok(ClusterSim::with_controller(
-            self.cluster,
-            self.sim,
-            placement,
-            controller,
-            &*share_policy,
-        ))
-    }
-
     /// Builds the full scenario: validates the composition and deploys
     /// every function, attaching each arrival source as a *stream* — the
     /// serving plane pulls instants in bounded chunks up to the horizon
@@ -487,13 +460,20 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// Any missing component or recorded misuse (see
-    /// [`build_sim`](Self::build_sim)), [`ScenarioError::NoFunctions`],
+    /// Any recorded builder misuse, [`ScenarioError::MissingPlacement`] /
+    /// [`ScenarioError::MissingAutoscaler`] /
+    /// [`ScenarioError::MissingSharePolicy`] when a component is absent,
+    /// [`ScenarioError::NoFunctions`],
     /// [`ScenarioError::MissingArrivals`] for an inference function with no
     /// arrival source, and [`ScenarioError::Deploy`] when the serving plane
     /// rejects a function.
-    pub fn build(mut self) -> Result<Scenario, ScenarioError> {
-        let (placement, controller, share_policy) = self.take_components()?;
+    pub fn build(self) -> Result<Scenario, ScenarioError> {
+        if let Some(misuse) = self.misuse {
+            return Err(misuse);
+        }
+        let placement = self.placement.ok_or(ScenarioError::MissingPlacement)?;
+        let controller = self.controller.ok_or(ScenarioError::MissingAutoscaler)?;
+        let share_policy = self.share_policy.ok_or(ScenarioError::MissingSharePolicy)?;
         if self.functions.is_empty() {
             return Err(ScenarioError::NoFunctions);
         }

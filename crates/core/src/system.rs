@@ -1,21 +1,14 @@
 //! System presets: Dilu, its ablations, and the cluster-level baselines of
-//! §5.1, expressed as pre-populated [`ScenarioBuilder`]s.
+//! §5.1, as data.
 //!
-//! [`SystemKind`] is no longer the closed front door of composition — any
-//! mix of placement/autoscaler/share policy goes through
-//! [`ScenarioBuilder`] directly. Each variant here is a *preset*: a
-//! builder with the paper's composition filled in, every knob still
-//! swappable before `build()`.
+//! Each [`SystemKind`] is shorthand for three registry components — its
+//! [`spelling`](SystemKind::spelling). The [`Registry`] alone turns those
+//! names into components, so a preset composes exactly what the same
+//! names written out in a `[system]` table compose.
 
-use dilu_baselines::{KeepAliveScaler, QuotaSource, ReactiveScaler};
-use dilu_cluster::{ClusterSim, ClusterSpec, SimConfig};
-use dilu_rckm::RckmConfig;
-use dilu_scaler::{LazyScaler, ScalerConfig};
-use dilu_scheduler::{DiluScheduler, ExclusivePlacement, SchedulerConfig};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::factories::{FairFactory, FastGsFactory, MpsFactory, RckmFactory};
-use crate::ScenarioBuilder;
+use crate::{ComponentSection, Params, Registry, ScenarioBuilder, SystemSection};
 
 /// Every preset system of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -112,91 +105,43 @@ impl SystemKind {
         matches!(self, SystemKind::Dilu | SystemKind::DiluNoWa | SystemKind::DiluNoVs)
     }
 
-    /// A [`ScenarioBuilder`] pre-populated with this system's composition
-    /// and default knobs. Every component can still be swapped before
-    /// `build()`.
-    pub fn builder(self) -> ScenarioBuilder {
-        self.builder_with(SystemOverrides::default())
-    }
-
-    /// [`builder`](Self::builder) with explicit knob overrides
-    /// (sensitivity studies).
-    pub fn builder_with(self, ov: SystemOverrides) -> ScenarioBuilder {
-        let sim_config = ov.sim.unwrap_or_default();
-        let rckm = ov.rckm.unwrap_or_default();
-        let dilu_sched = ov.scheduler.unwrap_or_default();
-        let scaler = ov.scaler.unwrap_or_default();
-        // INFless-style packers: complementarity scoring without Dilu's
-        // affinity pass.
-        let packing = SchedulerConfig { workload_affinity: false, ..dilu_sched };
-        let builder = ScenarioBuilder::new().sim_config(sim_config);
-        match self {
-            SystemKind::Dilu => builder
-                .placement(DiluScheduler::new(dilu_sched))
-                .autoscaler(LazyScaler::new(scaler))
-                .share_policy(RckmFactory(rckm)),
-            SystemKind::DiluNoRc => builder
-                .placement(DiluScheduler::new(SchedulerConfig {
-                    resource_complementary: false,
-                    ..dilu_sched
-                }))
-                .autoscaler(LazyScaler::new(scaler))
-                .share_policy(RckmFactory(rckm)),
-            SystemKind::DiluNoWa => builder
-                .placement(DiluScheduler::new(SchedulerConfig {
-                    workload_affinity: false,
-                    ..dilu_sched
-                }))
-                .autoscaler(LazyScaler::new(scaler))
-                .share_policy(RckmFactory(rckm)),
-            SystemKind::DiluNoVs => builder
-                .placement(DiluScheduler::new(dilu_sched))
-                .autoscaler(LazyScaler::new(scaler))
-                .share_policy(MpsFactory(QuotaSource::Limit)),
-            SystemKind::Exclusive => builder
-                .placement(ExclusivePlacement::new())
-                .autoscaler(KeepAliveScaler::default())
-                .share_policy(FairFactory),
-            SystemKind::InflessPlusL => builder
-                .placement(DiluScheduler::new(packing))
-                .autoscaler(KeepAliveScaler::default())
-                .share_policy(MpsFactory(QuotaSource::Limit)),
-            SystemKind::InflessPlusR => builder
-                .placement(DiluScheduler::new(packing))
-                .autoscaler(KeepAliveScaler::default())
-                .share_policy(MpsFactory(QuotaSource::Request)),
-            SystemKind::FastGsPlus => builder
-                .placement(DiluScheduler::new(packing))
-                .autoscaler(ReactiveScaler::new())
-                .share_policy(FastGsFactory),
+    /// The preset spelled out as registry components: a placement, an
+    /// elasticity controller and a share policy, each a registry name
+    /// with parameters. The ablations differ from `dilu` in exactly the
+    /// component they name.
+    pub fn spelling(self) -> SystemSection {
+        let named = ComponentSection::named;
+        let dilu_without = |principle: &str| ComponentSection {
+            name: "dilu".to_owned(),
+            params: Params::from_entries(vec![(principle.to_owned(), Value::Bool(false))]),
+        };
+        let (placement, controller, share_policy) = match self {
+            SystemKind::Dilu => (named("dilu"), "lazy", "rckm"),
+            SystemKind::DiluNoRc => (dilu_without("resource_complementary"), "lazy", "rckm"),
+            SystemKind::DiluNoWa => (dilu_without("workload_affinity"), "lazy", "rckm"),
+            SystemKind::DiluNoVs => (named("dilu"), "lazy", "mps-l"),
+            SystemKind::Exclusive => (named("exclusive"), "keep-alive", "fair"),
+            SystemKind::InflessPlusL => (named("packing"), "keep-alive", "mps-l"),
+            SystemKind::InflessPlusR => (named("packing"), "keep-alive", "mps-r"),
+            SystemKind::FastGsPlus => (named("packing"), "reactive", "fast-gs"),
+        };
+        SystemSection {
+            preset: None,
+            placement: Some(placement),
+            autoscaler: None,
+            controller: Some(named(controller)),
+            share_policy: Some(named(share_policy)),
         }
     }
-}
 
-/// Knob overrides for sensitivity studies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemOverrides {
-    /// Overrides the RCKM configuration (Fig. 18(b) MaxTokens sweep).
-    pub rckm: Option<RckmConfig>,
-    /// Overrides the scheduler configuration (Fig. 18(a) γ sweep).
-    pub scheduler: Option<SchedulerConfig>,
-    /// Overrides the lazy-scaler configuration.
-    pub scaler: Option<ScalerConfig>,
-    /// Overrides the serving-plane configuration.
-    pub sim: Option<SimConfig>,
-}
-
-/// Builds a ready-to-use cluster simulator for `kind` with default knobs.
-pub fn build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
-    build_sim_with(kind, spec, SystemOverrides::default())
-}
-
-/// Builds a cluster simulator for `kind` with explicit overrides.
-///
-/// Equivalent to `kind.builder_with(ov).cluster(spec).build_sim()` — the
-/// presets populate every component, so this cannot fail.
-pub fn build_sim_with(kind: SystemKind, spec: ClusterSpec, ov: SystemOverrides) -> ClusterSim {
-    kind.builder_with(ov).cluster(spec).build_sim().expect("presets populate every component")
+    /// A [`ScenarioBuilder`] holding this preset's components, built by
+    /// [`Registry::with_defaults`]. Every component can still be swapped
+    /// before `build()`.
+    pub fn builder(self) -> ScenarioBuilder {
+        self.spelling()
+            .into_builder(&Registry::with_defaults())
+            .expect("the default registry builds every preset component")
+    }
 }
 
 #[cfg(test)]
@@ -229,23 +174,31 @@ mod tests {
         assert!(!SystemKind::InflessPlusL.distributes_llms());
     }
 
+    /// Builds `kind` on `gpus` GPUs with one idle function deployed.
+    fn build(kind: SystemKind, gpus: u32) -> crate::Scenario {
+        kind.builder()
+            .cluster(dilu_cluster::ClusterSpec::single_node(gpus))
+            .function(crate::funcs::inference_function(1, dilu_models::ModelId::BertBase))
+            .arrival_times(Vec::new())
+            .build()
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"))
+    }
+
     #[test]
     fn every_system_builds() {
-        for kind in SystemKind::END_TO_END {
-            let sim = build_sim(kind, ClusterSpec::single_node(2));
-            assert_eq!(sim.spec().total_gpus(), 2);
+        for kind in SystemKind::ALL {
+            assert_eq!(build(kind, 2).sim().spec().total_gpus(), 2);
         }
-        build_sim(SystemKind::FastGsPlus, ClusterSpec::single_node(1));
     }
 
     #[test]
     fn presets_expose_component_names() {
-        let sim = build_sim(SystemKind::Dilu, ClusterSpec::single_node(1));
-        assert_eq!(sim.placement_name(), "dilu-scheduler");
-        assert_eq!(sim.autoscaler_name(), "dilu-lazy-scaler");
-        assert_eq!(sim.share_policy_name(), "dilu-rckm");
-        let excl = build_sim(SystemKind::Exclusive, ClusterSpec::single_node(1));
-        assert_eq!(excl.placement_name(), "exclusive");
-        assert_eq!(excl.share_policy_name(), "fair-share");
+        let dilu = build(SystemKind::Dilu, 1);
+        assert_eq!(dilu.sim().placement_name(), "dilu-scheduler");
+        assert_eq!(dilu.sim().autoscaler_name(), "dilu-lazy-scaler");
+        assert_eq!(dilu.sim().share_policy_name(), "dilu-rckm");
+        let excl = build(SystemKind::Exclusive, 1);
+        assert_eq!(excl.sim().placement_name(), "exclusive");
+        assert_eq!(excl.sim().share_policy_name(), "fair-share");
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use dilu::cluster::ClusterSpec;
-use dilu::core::{build_sim, funcs, SystemKind};
+use dilu::core::{funcs, SystemKind};
 use dilu::models::ModelId;
 use dilu::sim::{SimDuration, SimTime};
 use dilu::workload::{ArrivalProcess, RateTrace, TraceKind, TraceProcess};
@@ -27,13 +27,17 @@ fn main() {
     );
     for kind in [SystemKind::Dilu, SystemKind::FastGsPlus, SystemKind::InflessPlusL] {
         let arrivals = TraceProcess::new(trace.clone(), 91).generate(SimTime::from_secs(HORIZON));
-        let mut sim = build_sim(kind, ClusterSpec::single_node(8));
-        sim.deploy_inference(funcs::inference_function(1, ModelId::RobertaLarge), 1, arrivals)
+        let report = kind
+            .builder()
+            .cluster(ClusterSpec::single_node(8))
+            .horizon(SimDuration::from_secs(HORIZON))
+            .drain(SimDuration::from_secs(20))
+            .function(funcs::inference_function(1, ModelId::RobertaLarge))
+            .arrival_times(arrivals)
+            .function(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
+            .build()
+            .and_then(|scenario| scenario.run())
             .expect("empty cluster has room");
-        sim.deploy_training(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
-            .expect("empty cluster has room");
-        sim.run_until(SimTime::from_secs(HORIZON + 20));
-        let report = sim.into_report();
         let f = report.inference.values().next().expect("function deployed");
         println!(
             "{:<12} {:>11} {:>7.1}% {:>10.1} {:>12.0}",

@@ -6,16 +6,12 @@
 //! ```
 
 use dilu::cluster::ClusterSpec;
-use dilu::core::{build_sim, funcs, SystemKind};
+use dilu::core::{funcs, SystemKind};
 use dilu::models::ModelId;
-use dilu::sim::SimTime;
+use dilu::sim::{SimDuration, SimTime};
 use dilu::workload::{ArrivalProcess, PoissonProcess};
 
 fn main() {
-    // A single node with two A100-40GB-class GPUs running the full Dilu
-    // stack: Algorithm-1 scheduling, lazy scaling, RCKM token control.
-    let mut sim = build_sim(SystemKind::Dilu, ClusterSpec::single_node(2));
-
     // The control plane profiles RoBERTa-large once (Hybrid Growth Search)
     // and derives its <request, limit> quotas and batch size.
     let function = funcs::inference_function(1, ModelId::RobertaLarge);
@@ -26,16 +22,22 @@ fn main() {
         );
     }
 
-    // 60 seconds of Poisson traffic at 25 requests per second.
-    let arrivals = PoissonProcess::new(25.0, 42).generate(SimTime::from_secs(60));
-    sim.deploy_inference(function, 1, arrivals).expect("empty cluster has room");
-
-    // A collocated BERT fine-tuning job soaks up the leftover SMs.
-    let training = funcs::training_function(2, ModelId::BertBase, 1, u64::MAX);
-    sim.deploy_training(training).expect("empty cluster has room");
-
-    sim.run_until(SimTime::from_secs(65));
-    let report = sim.into_report();
+    // A single node with two A100-40GB-class GPUs running the full Dilu
+    // stack (Algorithm-1 scheduling, lazy scaling, RCKM token control),
+    // serving 60 seconds of Poisson traffic at 25 requests per second
+    // plus a 5-second drain. A collocated BERT fine-tuning job soaks up
+    // the leftover SMs.
+    let report = SystemKind::Dilu
+        .builder()
+        .cluster(ClusterSpec::single_node(2))
+        .horizon(SimDuration::from_secs(60))
+        .drain(SimDuration::from_secs(5))
+        .function(function)
+        .arrival_times(PoissonProcess::new(25.0, 42).generate(SimTime::from_secs(60)))
+        .function(funcs::training_function(2, ModelId::BertBase, 1, u64::MAX))
+        .build()
+        .and_then(|scenario| scenario.run())
+        .expect("empty cluster has room");
 
     let f = report.inference.values().next().expect("function deployed");
     println!("\nserved {} of {} requests", f.completed, f.arrived);

@@ -3,7 +3,7 @@
 
 use dilu::cluster::{ClusterReport, ClusterSpec};
 use dilu::core::macrosim::{run_macro, MacroConfig, MacroSystem};
-use dilu::core::{build_sim, funcs, ComponentSection, Registry, ScenarioConfig, SystemKind};
+use dilu::core::{funcs, ComponentSection, Registry, ScenarioConfig, SystemKind};
 use dilu::models::ModelId;
 use dilu::sim::{SimDuration, SimTime};
 use dilu::workload::{ArrivalProcess, RateTrace, TraceKind, TraceProcess};
@@ -14,11 +14,16 @@ fn bursty_run(kind: SystemKind) -> (u64, f64) {
     let trace =
         RateTrace::synthesize(TraceKind::Bursty, 20.0, 5.0, SimDuration::from_secs(HORIZON), 13);
     let arrivals = TraceProcess::new(trace, 13).generate(SimTime::from_secs(HORIZON));
-    let mut sim = build_sim(kind, ClusterSpec::single_node(6));
-    sim.deploy_inference(funcs::inference_function(1, ModelId::RobertaLarge), 1, arrivals)
+    let report = kind
+        .builder()
+        .cluster(ClusterSpec::single_node(6))
+        .horizon(SimDuration::from_secs(HORIZON))
+        .drain(SimDuration::from_secs(10))
+        .function(funcs::inference_function(1, ModelId::RobertaLarge))
+        .arrival_times(arrivals)
+        .build()
+        .and_then(|scenario| scenario.run())
         .expect("room at t=0");
-    sim.run_until(SimTime::from_secs(HORIZON + 10));
-    let report = sim.into_report();
     let f = report.inference.values().next().unwrap();
     (f.cold_starts.count(), f.svr())
 }

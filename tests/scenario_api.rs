@@ -1,13 +1,12 @@
 //! Integration tests of the open composition API: `ScenarioBuilder`,
 //! `ScenarioConfig` round-trips, registry lookups, and the guarantee that
-//! every `SystemKind` preset composes exactly what the pre-redesign
-//! `build_sim_with` path did.
+//! every `SystemKind` preset composes exactly what the original hand-wired
+//! composition did.
 
 use dilu::cluster::{ClusterReport, ClusterSim, ClusterSpec, DeployError, SimConfig};
 use dilu::core::experiments;
 use dilu::core::{
-    build_sim, funcs, Registry, Scenario, ScenarioBuilder, ScenarioConfig, ScenarioError,
-    SystemKind,
+    funcs, Registry, Scenario, ScenarioBuilder, ScenarioConfig, ScenarioError, SystemKind,
 };
 use dilu::models::ModelId;
 use dilu::sim::SimTime;
@@ -28,8 +27,44 @@ fn missing_components_are_typed_errors() {
     let err = SystemKind::Dilu.builder().build();
     assert!(matches!(err, Err(ScenarioError::NoFunctions)), "{err:?}");
 
-    let err = Scenario::builder().build_sim();
-    assert!(matches!(err, Err(ScenarioError::MissingPlacement)), "{err:?}");
+    let err = Scenario::builder()
+        .placement(dilu::core::PinnedPlacement::new())
+        .function(funcs::inference_function(1, ModelId::BertBase))
+        .arrival_times(Vec::new())
+        .build();
+    match err {
+        Err(e @ ScenarioError::MissingAutoscaler) => {
+            assert!(e.to_string().contains("elasticity controller"), "{e}");
+        }
+        other => panic!("expected MissingAutoscaler, got {other:?}"),
+    }
+}
+
+#[test]
+fn arrival_times_for_reports_unknown_ids_and_training_targets() {
+    use dilu::cluster::FunctionId;
+    let err = SystemKind::Dilu
+        .builder()
+        .function(funcs::inference_function(1, ModelId::BertBase))
+        .arrival_times(Vec::new())
+        .arrival_times_for(FunctionId(9), vec![SimTime::from_secs(1)])
+        .build();
+    match err {
+        Err(ScenarioError::Config(msg)) => {
+            assert!(msg.contains("arrival_times_for") && msg.contains('9'), "{msg}");
+        }
+        other => panic!("an unknown id must be a config error, got {other:?}"),
+    }
+
+    let err = SystemKind::Dilu
+        .builder()
+        .function(funcs::training_function(1, ModelId::BertBase, 2, 10))
+        .arrival_times_for(FunctionId(1), vec![SimTime::from_secs(1)])
+        .build();
+    assert!(
+        matches!(err, Err(ScenarioError::ArrivalsForTraining(FunctionId(1)))),
+        "a training target must be ArrivalsForTraining, got {err:?}"
+    );
 }
 
 #[test]
@@ -182,12 +217,12 @@ fn config_errors_name_the_offender() {
 }
 
 // ---------------------------------------------------------------------------
-// Preset ≡ pre-redesign build_sim_with
+// Preset ≡ the original hand-wired composition
 // ---------------------------------------------------------------------------
 
-/// The original closed composition, reproduced verbatim from the
-/// pre-redesign `build_sim_with` match so the presets are checked against
-/// the historical behaviour, not against themselves.
+/// The original closed composition, reproduced verbatim from the old
+/// hand-written preset match so the presets are checked against the
+/// historical behaviour, not against their registry spellings.
 fn legacy_build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
     use dilu::baselines::{KeepAliveScaler, QuotaSource, ReactiveScaler};
     use dilu::core::{FairFactory, FastGsFactory, MpsFactory, RckmFactory};
@@ -266,11 +301,17 @@ fn legacy_build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
     }
 }
 
-/// Runs the same mixed workload on a simulator and digests the outcome
-/// into an exactly comparable form.
+fn preset_arrivals() -> (Vec<SimTime>, Vec<SimTime>) {
+    (
+        PoissonProcess::new(30.0, 7).generate(SimTime::from_secs(20)),
+        PoissonProcess::new(12.0, 13).generate(SimTime::from_secs(20)),
+    )
+}
+
+/// Runs the mixed workload on a hand-wired simulator, deploying directly,
+/// and digests the outcome into an exactly comparable form.
 fn digest(mut sim: ClusterSim) -> Vec<(String, u64, u64, u64, u64)> {
-    let arrivals_a = PoissonProcess::new(30.0, 7).generate(SimTime::from_secs(20));
-    let arrivals_b = PoissonProcess::new(12.0, 13).generate(SimTime::from_secs(20));
+    let (arrivals_a, arrivals_b) = preset_arrivals();
     sim.deploy_inference(funcs::inference_function(1, ModelId::BertBase), 1, arrivals_a)
         .expect("deploy bert");
     sim.deploy_inference(funcs::inference_function(2, ModelId::ResNet152), 1, arrivals_b)
@@ -279,6 +320,34 @@ fn digest(mut sim: ClusterSim) -> Vec<(String, u64, u64, u64, u64)> {
         .expect("deploy training");
     sim.run_until(SimTime::from_secs(25));
     report_digest(sim.into_report())
+}
+
+/// The same workload as [`digest`], composed through the builder.
+fn digest_builder(
+    builder: ScenarioBuilder,
+    spec: ClusterSpec,
+) -> Vec<(String, u64, u64, u64, u64)> {
+    let (arrivals_a, arrivals_b) = preset_arrivals();
+    let report = builder
+        .cluster(spec)
+        .horizon(dilu::sim::SimDuration::from_secs(20))
+        .drain(dilu::sim::SimDuration::from_secs(5))
+        .function(funcs::inference_function(1, ModelId::BertBase))
+        .arrival_times(arrivals_a)
+        .function(funcs::inference_function(2, ModelId::ResNet152))
+        .arrival_times(arrivals_b)
+        .function(funcs::training_function(3, ModelId::BertBase, 2, 60))
+        .build()
+        .and_then(Scenario::run)
+        .expect("preset builds and runs");
+    report_digest(report)
+}
+
+/// A scenario config whose `[system]` table is just `preset = "<name>"`
+/// (functions are added on the builder).
+fn preset_config(name: &str) -> ScenarioConfig {
+    ScenarioConfig::from_toml_str(&format!("functions = []\n[system]\npreset = \"{name}\"\n"))
+        .expect("a bare preset parses")
 }
 
 fn report_digest(report: ClusterReport) -> Vec<(String, u64, u64, u64, u64)> {
@@ -313,14 +382,63 @@ fn report_digest(report: ClusterReport) -> Vec<(String, u64, u64, u64, u64)> {
 
 #[test]
 fn every_preset_matches_the_legacy_composition_exactly() {
+    let registry = Registry::with_defaults();
     for kind in SystemKind::ALL {
         let spec = ClusterSpec::single_node(4);
         let legacy = digest(legacy_build_sim(kind, spec));
-        let preset = digest(build_sim(kind, spec));
-        assert_eq!(legacy, preset, "preset {kind:?} diverges from legacy build_sim_with");
 
-        let via_builder = digest(kind.builder().cluster(spec).build_sim().expect("preset builds"));
-        assert_eq!(legacy, via_builder, "builder path diverges for {kind:?}");
+        let via_builder = digest_builder(kind.builder(), spec);
+        assert_eq!(legacy, via_builder, "kind.builder() diverges for {kind:?}");
+
+        let via_config =
+            preset_config(kind.name()).into_builder(&registry).expect("preset resolves");
+        let via_config = digest_builder(via_config, spec);
+        assert_eq!(legacy, via_config, "preset = \"{}\" diverges for {kind:?}", kind.name());
+    }
+}
+
+/// A horizontal scaler that never acts, under its own report name.
+struct StubScaler;
+
+impl dilu::cluster::Autoscaler for StubScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[dilu::cluster::FunctionScaleView],
+    ) -> Vec<dilu::cluster::ScaleAction> {
+        Vec::new()
+    }
+
+    fn name(&self) -> &str {
+        "stub-lazy"
+    }
+}
+
+#[test]
+fn preset_components_resolve_through_the_supplied_registry() {
+    // A registry that re-registers `lazy` changes what `preset = "dilu"`
+    // builds.
+    let mut registry = Registry::with_defaults();
+    registry.register_autoscaler("lazy", |p| {
+        p.expect_keys(&[])?;
+        Ok(Box::new(StubScaler))
+    });
+    let scenario = preset_config("dilu")
+        .into_builder(&registry)
+        .expect("preset resolves")
+        .cluster(ClusterSpec::single_node(1))
+        .function(funcs::inference_function(1, ModelId::BertBase))
+        .arrival_times(Vec::new())
+        .build()
+        .expect("stubbed preset builds");
+    assert_eq!(scenario.sim().autoscaler_name(), "stub-lazy");
+    assert_eq!(scenario.sim().placement_name(), "dilu-scheduler");
+
+    // A registry that lacks a preset's component cannot build the preset.
+    match preset_config("dilu").into_builder(&Registry::empty()) {
+        Err(ScenarioError::Unknown { kind: "placement", name, .. }) => assert_eq!(name, "dilu"),
+        Err(other) => panic!("expected an unknown placement, got {other:?}"),
+        Ok(_) => panic!("an empty registry must not build a preset"),
     }
 }
 
