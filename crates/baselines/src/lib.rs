@@ -12,7 +12,8 @@
 //!   plus temporal lending of idle quotas, with the CUDA-event bookkeeping
 //!   overhead the paper observes.
 //!
-//! Cluster-level autoscalers:
+//! Cluster-level scalers, horizontal-only
+//! [`dilu_cluster::ElasticityController`]s that ignore the cluster view:
 //!
 //! * [`ReactiveScaler`] — FaST-GS+-style eager scale-out/in on instantaneous
 //!   load.

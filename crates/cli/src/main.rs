@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -181,10 +182,10 @@ fn run_scenario(path: &Path, json_out: Option<&Path>, options: &RunOptions) -> R
 
     println!("== scenario: {name} ==");
     println!(
-        "cluster: {} GPUs | placement: {} | autoscaler: {} | share policy: {}",
+        "cluster: {} GPUs | placement: {} | controller: {} | share policy: {}",
         scenario.sim().spec().total_gpus(),
         scenario.sim().placement_name(),
-        scenario.sim().autoscaler_name(),
+        scenario.sim().controller_name(),
         scenario.sim().share_policy_name(),
     );
     let horizon = scenario.horizon();
@@ -711,17 +712,20 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
         todo.push(experiment);
     }
     let ctx = ExperimentCtx::with_default_json_dir();
-    for experiment in todo {
-        println!("== {}: {} ==", experiment.name(), experiment.title());
-        let started = std::time::Instant::now();
-        let output = experiment.run(&ctx);
-        println!("{}", output.rendered);
-        if let Some(path) = &output.json_path {
-            println!("[json: {}]", path.display());
+    write_stdout(|out| {
+        for experiment in todo {
+            writeln!(out, "== {}: {} ==", experiment.name(), experiment.title())?;
+            let started = std::time::Instant::now();
+            let output = experiment.run(&ctx);
+            writeln!(out, "{}", output.rendered)?;
+            if let Some(path) = &output.json_path {
+                writeln!(out, "[json: {}]", path.display())?;
+            }
+            let secs = started.elapsed().as_secs_f64();
+            writeln!(out, "[{} completed in {secs:.1}s]\n", experiment.name())?;
         }
-        println!("[{} completed in {:.1}s]\n", experiment.name(), started.elapsed().as_secs_f64());
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn experiment_names() -> Vec<&'static str> {
@@ -734,26 +738,38 @@ fn experiment_names() -> Vec<&'static str> {
 
 fn cmd_list() -> Result<(), String> {
     let registry = Registry::with_defaults();
-    println!("presets (SystemKind):");
-    for kind in SystemKind::ALL {
-        println!("  {:12} {:10} {}", kind.name(), kind.label(), spelling(&kind.spelling()));
+    write_stdout(|out| {
+        writeln!(out, "presets (SystemKind):")?;
+        for kind in SystemKind::ALL {
+            let (name, label) = (kind.name(), kind.label());
+            writeln!(out, "  {name:12} {label:10} {}", spelling(&kind.spelling()))?;
+        }
+        writeln!(out, "\nplacements:        {}", registry.placement_names().join(", "))?;
+        writeln!(out, "controllers:       {}", registry.controller_names().join(", "))?;
+        writeln!(out, "share policies:    {}", registry.share_policy_names().join(", "))?;
+        writeln!(out, "arrival processes: {}", dilu_workload::PROCESS_NAMES.join(", "))?;
+        let oracles = dilu_harness::Harness::new().oracle_names();
+        writeln!(out, "fuzz oracles:      {}", oracles.join(", "))?;
+        writeln!(out, "lint rules:        {}", dilu_lint::rule_names().join(", "))?;
+        let models: Vec<&str> = ModelId::ALL.iter().map(|m| m.name()).collect();
+        writeln!(out, "models:            {}", models.join(", "))?;
+        writeln!(out, "\nexperiments:")?;
+        for e in experiments::all() {
+            writeln!(out, "  {:8} {}", e.name(), e.title())?;
+        }
+        Ok(())
+    })
+}
+
+/// Runs `body` against locked stdout. A reader that closes the pipe early
+/// (`dilu list | head -1`) ends the command quietly and successfully; any
+/// other write error is reported.
+fn write_stdout(body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match body(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        other => other.map_err(|e| format!("cannot write to stdout: {e}")),
     }
-    println!("\nplacements:        {}", registry.placement_names().join(", "));
-    println!("autoscalers:       {}", registry.autoscaler_names().join(", "));
-    println!("controllers (2D):  {}", registry.controller_names().join(", "));
-    println!("share policies:    {}", registry.share_policy_names().join(", "));
-    println!("arrival processes: {}", dilu_workload::PROCESS_NAMES.join(", "));
-    println!("fuzz oracles:      {}", dilu_harness::Harness::new().oracle_names().join(", "));
-    println!("lint rules:        {}", dilu_lint::rule_names().join(", "));
-    println!(
-        "models:            {}",
-        ModelId::ALL.iter().map(|m| m.name()).collect::<Vec<_>>().join(", ")
-    );
-    println!("\nexperiments:");
-    for e in experiments::all() {
-        println!("  {:8} {}", e.name(), e.title());
-    }
-    Ok(())
 }
 
 /// A composition as registry names, one `slot=name{key=value,...}` per
@@ -761,7 +777,6 @@ fn cmd_list() -> Result<(), String> {
 fn spelling(system: &SystemSection) -> String {
     let slots = [
         ("placement", &system.placement),
-        ("autoscaler", &system.autoscaler),
         ("controller", &system.controller),
         ("share_policy", &system.share_policy),
     ];

@@ -83,18 +83,15 @@ arrivals = { process = "poisson", rate = 5.0 }
 }
 
 #[test]
-fn controller_and_autoscaler_conflict_is_actionable() {
+fn system_autoscaler_is_rejected_naming_controller() {
     let path = write_scenario(
-        "conflict.toml",
+        "autoscaler.toml",
         r#"
 [system]
 preset = "dilu"
 
 [system.autoscaler]
 name = "lazy"
-
-[system.controller]
-name = "co-scale"
 
 [[functions]]
 model = "bert-base"
@@ -103,8 +100,8 @@ arrivals = { process = "poisson", rate = 5.0 }
     );
     let stderr = expect_failure(&["run", path.to_str().unwrap()]);
     assert!(
-        stderr.contains("same slot") && stderr.contains("keep one"),
-        "the conflict message must say what to do: {stderr}"
+        stderr.contains("`autoscaler`") && stderr.contains("controller"),
+        "the message must name the key and its replacement: {stderr}"
     );
 }
 

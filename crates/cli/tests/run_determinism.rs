@@ -12,8 +12,10 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn write_scenario() -> PathBuf {
-    let path = scratch("determinism-scenario.toml");
+/// Writes the scenario to a file of `test`'s own: tests run in parallel,
+/// and one rewriting a shared file can hand another a half-written one.
+fn write_scenario(test: &str) -> PathBuf {
+    let path = scratch(&format!("{test}-scenario.toml"));
     std::fs::write(
         &path,
         r#"
@@ -55,7 +57,7 @@ fn run_dilu(args: &[&str]) -> String {
 
 #[test]
 fn dilu_run_is_byte_deterministic() {
-    let scenario = write_scenario();
+    let scenario = write_scenario("determinism");
     let (out_a, out_b) = (scratch("run-a.json"), scratch("run-b.json"));
     for out in [&out_a, &out_b] {
         run_dilu(&["run", scenario.to_str().unwrap(), "--json", out.to_str().unwrap()]);
@@ -68,7 +70,7 @@ fn dilu_run_is_byte_deterministic() {
 
 #[test]
 fn time_model_flag_selects_the_stepper_without_changing_results() {
-    let scenario = write_scenario();
+    let scenario = write_scenario("time-model");
     let (out_event, out_dense) = (scratch("run-event.json"), scratch("run-dense.json"));
     run_dilu(&["run", scenario.to_str().unwrap(), "--json", out_event.to_str().unwrap()]);
     run_dilu(&[
@@ -86,7 +88,7 @@ fn time_model_flag_selects_the_stepper_without_changing_results() {
 
 #[test]
 fn unknown_time_model_fails_loudly() {
-    let scenario = write_scenario();
+    let scenario = write_scenario("bad-time-model");
     let out = Command::new(env!("CARGO_BIN_EXE_dilu"))
         .args(["run", scenario.to_str().unwrap(), "--time-model", "warp-speed"])
         .output()

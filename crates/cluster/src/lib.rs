@@ -19,12 +19,12 @@
 //!
 //! * [`Placement`] — which GPUs an instance lands on (Algorithm 1 lives in
 //!   `dilu-scheduler`);
-//! * [`ElasticityController`] — the 2D control plane deciding both
+//! * [`ElasticityController`] — the one control-plane slot, deciding both
 //!   *horizontal* scaling (launch/terminate instances) and *vertical*
 //!   scaling (resize `<request, limit>` quotas of running instances within
-//!   one scheduling quantum). Dilu's 2D co-scaler lives in `dilu-scaler`;
-//!   horizontal-only [`Autoscaler`]s (the lazy scaler, eager baselines in
-//!   `dilu-baselines`) participate through a blanket adapter;
+//!   one scheduling quantum). Dilu's lazy scaler and 2D co-scaler live in
+//!   `dilu-scaler`, the eager and keep-alive baselines in `dilu-baselines`;
+//!   the horizontal-only ones ignore the cluster view;
 //! * [`dilu_gpu::SharePolicy`] — per-quantum SM grants (Dilu's RCKM lives in
 //!   `dilu-rckm`, MPS/TGS/FaST-GS in `dilu-baselines`).
 
@@ -55,6 +55,6 @@ pub use spec::{
     cold_start_duration, ClusterSpec, FunctionId, FunctionKind, FunctionSpec, GpuAddr, Quotas,
 };
 pub use traits::{
-    named, Autoscaler, ClusterView, ElasticityController, FunctionScaleView, GpuView,
-    NamedPolicyFactory, Placement, PolicyFactory, QuotaView, ResidentInfo, ScaleAction,
+    named, ClusterView, ElasticityController, FunctionScaleView, GpuView, NamedPolicyFactory,
+    Placement, PolicyFactory, QuotaView, ResidentInfo, ScaleAction,
 };

@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dilu_cluster::{
-    named, Autoscaler, ClusterSim, ClusterSpec, ClusterView, FunctionId, FunctionKind,
+    named, ClusterSim, ClusterSpec, ClusterView, ElasticityController, FunctionId, FunctionKind,
     FunctionScaleView, FunctionSpec, GpuAddr, Placement, Quotas, ScaleAction, SimConfig, TimeModel,
 };
 use dilu_gpu::policies::FairSharePolicy;
@@ -48,8 +48,13 @@ struct Greedy {
     tick: Rc<Cell<u64>>,
 }
 
-impl Autoscaler for Greedy {
-    fn on_tick(&mut self, now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for Greedy {
+    fn on_tick(
+        &mut self,
+        now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         self.tick.set(now.as_secs());
         let mut actions = Vec::new();
         if now.as_secs() == FREE_AT {
@@ -159,8 +164,13 @@ struct ShrinkAt3 {
     shrink: FunctionId,
 }
 
-impl Autoscaler for ShrinkAt3 {
-    fn on_tick(&mut self, now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for ShrinkAt3 {
+    fn on_tick(
+        &mut self,
+        now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         let mut actions = Vec::new();
         if now.as_secs() == 3 {
             let q = SmRate::from_percent(10.0);

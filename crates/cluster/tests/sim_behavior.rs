@@ -3,7 +3,7 @@
 //! node-plane occupancy accounting.
 
 use dilu_cluster::{
-    cold_start_duration, named, Autoscaler, ClusterSim, ClusterSpec, ClusterView, DeployError,
+    cold_start_duration, named, ClusterSim, ClusterSpec, ClusterView, DeployError,
     ElasticityController, FunctionId, FunctionKind, FunctionScaleView, FunctionSpec, GpuAddr,
     Placement, PolicyFactory, QuotaView, Quotas, ScaleAction, SimConfig, TimeModel,
 };
@@ -37,8 +37,13 @@ impl Placement for FirstFit {
 
 struct NullScaler;
 
-impl Autoscaler for NullScaler {
-    fn on_tick(&mut self, _now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for NullScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         Vec::new()
     }
 
@@ -53,8 +58,13 @@ struct OneShotScaler {
     func: FunctionId,
 }
 
-impl Autoscaler for OneShotScaler {
-    fn on_tick(&mut self, now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for OneShotScaler {
+    fn on_tick(
+        &mut self,
+        now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         if !self.fired && now >= SimTime::from_secs(2) {
             self.fired = true;
             vec![ScaleAction::ScaleOut { func: self.func, count: 1 }]
@@ -285,7 +295,7 @@ fn vertical_resizes_apply_and_are_counted() {
     let func = spec.id;
     let (req0, lim0) = (spec.quotas.request, spec.quotas.limit);
     let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let mut sim = ClusterSim::with_controller(
+    let mut sim = ClusterSim::new(
         ClusterSpec::single_node(2),
         SimConfig::default(),
         Box::new(FirstFit),
@@ -359,7 +369,7 @@ fn zero_resize_latency_matches_dense_stepping() {
         let func = spec.id;
         let config =
             SimConfig { resize_latency: SimDuration::ZERO, time_model, ..SimConfig::default() };
-        let mut sim = ClusterSim::with_controller(
+        let mut sim = ClusterSim::new(
             ClusterSpec::single_node(1),
             config,
             Box::new(FirstFit),
@@ -404,7 +414,7 @@ fn re_requested_resizes_keep_their_original_due_time() {
     let spec = inference_spec(1, ModelId::BertBase, 4);
     let func = spec.id;
     let config = SimConfig { resize_latency: SimDuration::from_secs(2), ..SimConfig::default() };
-    let mut sim = ClusterSim::with_controller(
+    let mut sim = ClusterSim::new(
         ClusterSpec::single_node(1),
         config,
         Box::new(FirstFit),

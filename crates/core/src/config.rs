@@ -9,10 +9,10 @@
 //! gpus_per_node = 4
 //!
 //! [system]
-//! preset = "dilu"              # or compose placement/autoscaler/share_policy
+//! preset = "dilu"              # or compose placement/controller/share_policy
 //!
-//! [system.controller]          # optional: a 2D elasticity controller
-//! name = "co-scale"            # (accepts autoscaler names too)
+//! [system.controller]          # optional: override the preset's controller
+//! name = "co-scale"            # (the 2D co-scaler)
 //!
 //! [sim]                        # optional serving-plane tunables
 //! quantum_ms = 5.0
@@ -130,11 +130,14 @@ pub struct SystemSection {
     pub preset: Option<String>,
     /// Placement override.
     pub placement: Option<ComponentSection>,
-    /// Autoscaler override (horizontal-only controllers).
+    /// Always `None` in a valid section: scalers are all
+    /// [`controller`](Self::controller)s, a config file that sets
+    /// `[system.autoscaler]` fails to load, and
+    /// [`ScenarioConfig::into_builder`] rejects a `Some`. Kept only because
+    /// the benchmark still reads the field.
     pub autoscaler: Option<ComponentSection>,
-    /// Elasticity-controller override (2D co-scaling; also accepts every
-    /// autoscaler name). Mutually exclusive with `autoscaler` — they fill
-    /// the same slot.
+    /// Elasticity-controller override: a horizontal-only scaler or the 2D
+    /// co-scaler.
     pub controller: Option<ComponentSection>,
     /// Share-policy override.
     pub share_policy: Option<ComponentSection>,
@@ -151,18 +154,16 @@ impl SystemSection {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Config`] when both `autoscaler` and `controller`
-    /// are set, and [`ScenarioError::Unknown`] for a preset or component
+    /// [`ScenarioError::Config`] when `autoscaler` is set, and
+    /// [`ScenarioError::Unknown`] for a preset or component
     /// name `registry` does not know, or a component's own parameter error.
     pub(crate) fn into_builder(
         mut self,
         registry: &Registry,
     ) -> Result<ScenarioBuilder, ScenarioError> {
-        if self.autoscaler.is_some() && self.controller.is_some() {
+        if self.autoscaler.is_some() {
             return Err(ScenarioError::Config(
-                "[system] declares both `autoscaler` and `controller`; they fill the same \
-                 slot — keep one"
-                    .into(),
+                "[system] `autoscaler` is gone; name the scaler under `controller`".into(),
             ));
         }
         if let Some(name) = self.preset.take() {
@@ -174,18 +175,12 @@ impl SystemSection {
                 })?
                 .spelling();
             self.placement = self.placement.or(preset.placement);
-            if self.autoscaler.is_none() && self.controller.is_none() {
-                self.autoscaler = preset.autoscaler;
-                self.controller = preset.controller;
-            }
+            self.controller = self.controller.or(preset.controller);
             self.share_policy = self.share_policy.or(preset.share_policy);
         }
         let mut builder = ScenarioBuilder::new();
         if let Some(p) = &self.placement {
             builder = builder.placement_boxed(registry.placement(&p.name, &p.params)?);
-        }
-        if let Some(a) = &self.autoscaler {
-            builder = builder.autoscaler_boxed(registry.autoscaler(&a.name, &a.params)?);
         }
         if let Some(c) = &self.controller {
             builder = builder.controller_boxed(registry.controller(&c.name, &c.params)?);
@@ -470,7 +465,7 @@ pub struct ScenarioConfig {
     pub network: Option<NetworkSection>,
     /// Run parameters.
     pub run: Option<RunSection>,
-    /// The deployed functions.
+    /// The explicitly declared functions; a file may leave the key out.
     pub functions: Vec<FunctionSection>,
     /// Synthesized fleet appended after the explicit functions.
     pub fleet: Option<FleetSection>,
@@ -482,7 +477,7 @@ impl ScenarioConfig {
     /// parameter keys by design).
     pub fn from_toml_str(text: &str) -> Result<Self, ScenarioError> {
         let value = toml::parse_value(text).map_err(|e| ScenarioError::Config(e.to_string()))?;
-        Self::from_checked_value(&value)
+        Self::from_checked_value(value)
     }
 
     /// Parses a JSON scenario with the same unknown-key rejection as
@@ -490,12 +485,19 @@ impl ScenarioConfig {
     pub fn from_json_str(text: &str) -> Result<Self, ScenarioError> {
         let value =
             serde_json::parse_value(text).map_err(|e| ScenarioError::Config(e.to_string()))?;
-        Self::from_checked_value(&value)
+        Self::from_checked_value(value)
     }
 
-    fn from_checked_value(value: &Value) -> Result<Self, ScenarioError> {
-        reject_unknown_keys(value)?;
-        Deserialize::from_value(value).map_err(|e| ScenarioError::Config(e.to_string()))
+    fn from_checked_value(mut value: Value) -> Result<Self, ScenarioError> {
+        reject_unknown_keys(&value)?;
+        // A file without `functions` (a fleet-only one) has no explicit
+        // functions.
+        if let Value::Map(entries) = &mut value {
+            if !entries.iter().any(|(k, _)| k.as_str() == Some("functions")) {
+                entries.push((Value::Str("functions".into()), Value::Seq(Vec::new())));
+            }
+        }
+        Deserialize::from_value(&value).map_err(|e| ScenarioError::Config(e.to_string()))
     }
 
     /// Loads a scenario file, dispatching on the `.toml`/`.json` extension
@@ -741,11 +743,13 @@ fn reject_unknown_keys(root: &Value) -> Result<(), ScenarioError> {
         check("[run]", run, &["horizon_secs", "drain_secs", "seed"])?;
     }
     if let Some(system) = root.get("system") {
-        check(
-            "[system]",
-            system,
-            &["preset", "placement", "autoscaler", "controller", "share_policy"],
-        )?;
+        // `SystemSection::autoscaler` still serializes, as null; only a
+        // value is an error.
+        let mut system = system.clone();
+        if let Value::Map(entries) = &mut system {
+            entries.retain(|(k, v)| !(k.as_str() == Some("autoscaler") && *v == Value::Unit));
+        }
+        check("[system]", &system, &["preset", "placement", "controller", "share_policy"])?;
     }
     if let Some(Value::Seq(functions)) = root.get("functions") {
         for f in functions {
@@ -1019,7 +1023,7 @@ arrivals = { process = "poisson", rate = 10.0 }
         let registry = Registry::with_defaults();
         let scenario = config.into_builder(&registry).unwrap().build().unwrap();
         assert_eq!(scenario.sim().controller_name(), "dilu-co-scaler");
-        // Autoscaler names resolve through the controller slot too.
+        // Horizontal-only scalers are controllers too.
         let fallback = ScenarioConfig::from_toml_str(
             &text
                 .replace("name = \"co-scale\"", "name = \"reactive\"")
@@ -1031,7 +1035,7 @@ arrivals = { process = "poisson", rate = 10.0 }
     }
 
     #[test]
-    fn autoscaler_and_controller_conflict_is_rejected() {
+    fn system_autoscaler_is_rejected_in_favour_of_controller() {
         let text = r#"
 [system]
 preset = "dilu"
@@ -1039,20 +1043,23 @@ preset = "dilu"
 [system.autoscaler]
 name = "lazy"
 
-[system.controller]
-name = "co-scale"
-
 [[functions]]
 model = "bert-base"
 arrivals = { process = "poisson", rate = 10.0 }
 "#;
+        // A file naming the key fails to load, like `[sim] threads`.
+        let err = ScenarioConfig::from_toml_str(text).map(|_| ()).map_err(|e| e.to_string());
+        assert!(
+            err.as_ref().is_err_and(|e| e.contains("`autoscaler`") && e.contains("controller")),
+            "{err:?}"
+        );
+        // A section built in code with the field set fails to resolve.
+        let mut config =
+            ScenarioConfig::from_toml_str(&text.replace("autoscaler", "controller")).unwrap();
+        config.system.autoscaler = config.system.controller.take();
         let registry = Registry::with_defaults();
-        let err = ScenarioConfig::from_toml_str(text)
-            .unwrap()
-            .into_builder(&registry)
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        assert!(err.as_ref().is_err_and(|e| e.contains("same slot")), "{err:?}");
+        let err = config.into_builder(&registry).map(|_| ()).map_err(|e| e.to_string());
+        assert!(err.as_ref().is_err_and(|e| e.contains("`controller`")), "{err:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use dilu_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::factories::{
-    FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, PinnedPlacement, RckmFactory,
+    FairFactory, FastGsFactory, MpsFactory, NullController, PinnedPlacement, RckmFactory,
     TgsFactory,
 };
 use crate::Scenario;
@@ -115,7 +115,7 @@ pub fn run_case(
     let mut builder = Scenario::builder()
         .cluster(ClusterSpec::single_node(gpus))
         .placement(placement)
-        .autoscaler(NullAutoscaler)
+        .controller(NullController)
         .share_policy_boxed(system.factory())
         .horizon(SimDuration::from_secs(horizon_secs))
         .drain(SimDuration::ZERO);

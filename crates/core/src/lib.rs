@@ -30,7 +30,7 @@
 //!
 //! Or compose a system no preset describes — any
 //! [`Placement`](dilu_cluster::Placement) /
-//! [`Autoscaler`](dilu_cluster::Autoscaler) /
+//! [`ElasticityController`](dilu_cluster::ElasticityController) /
 //! [`PolicyFactory`](dilu_cluster::PolicyFactory) mix goes:
 //!
 //! ```
@@ -44,7 +44,7 @@
 //! let scenario = Scenario::builder()
 //!     .cluster(ClusterSpec::single_node(2))
 //!     .placement(DiluScheduler::new(SchedulerConfig { gamma: 2.0, ..Default::default() }))
-//!     .autoscaler(KeepAliveScaler::default())
+//!     .controller(KeepAliveScaler::default())
 //!     .share_policy(MpsFactory(QuotaSource::Request))
 //!     .horizon(SimDuration::from_secs(5))
 //!     .function(funcs::inference_function(1, ModelId::Vgg19))
@@ -79,7 +79,7 @@ pub use config::{
     SimSection, SystemSection,
 };
 pub use factories::{
-    custom_share_policy, FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, PinnedPlacement,
+    custom_share_policy, FairFactory, FastGsFactory, MpsFactory, NullController, PinnedPlacement,
     RckmFactory, TgsFactory,
 };
 pub use registry::{Params, Registry};

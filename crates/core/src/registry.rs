@@ -1,5 +1,5 @@
-//! String-keyed registries for placements, autoscalers, and share
-//! policies, so scenario config files (and external users) can name any
+//! String-keyed registries for placements, elasticity controllers, and
+//! share policies, so scenario config files (and external users) can name any
 //! component — built-in or registered at runtime — without touching an
 //! enum. This is the one place a component name becomes a constructor:
 //! presets are spelled in these names too.
@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use dilu_baselines::{KeepAliveScaler, QuotaSource, ReactiveScaler};
-use dilu_cluster::{Autoscaler, ElasticityController, Placement, PolicyFactory};
+use dilu_cluster::{ElasticityController, Placement, PolicyFactory};
 use dilu_gpu::SmRate;
 use dilu_rckm::RckmConfig;
 use dilu_scaler::{CoScaler, CoScalerConfig, LazyScaler, ScalerConfig};
@@ -20,17 +20,14 @@ use dilu_sim::SimDuration;
 use serde::Value;
 
 use crate::factories::{
-    FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, RckmFactory, TgsFactory,
+    FairFactory, FastGsFactory, MpsFactory, NullController, RckmFactory, TgsFactory,
 };
 use crate::ScenarioError;
 
 /// Constructor signature for registered placements.
 pub type PlacementCtor =
     Box<dyn Fn(&Params) -> Result<Box<dyn Placement>, ScenarioError> + Send + Sync>;
-/// Constructor signature for registered autoscalers.
-pub type AutoscalerCtor =
-    Box<dyn Fn(&Params) -> Result<Box<dyn Autoscaler>, ScenarioError> + Send + Sync>;
-/// Constructor signature for registered 2D elasticity controllers.
+/// Constructor signature for registered elasticity controllers.
 pub type ControllerCtor =
     Box<dyn Fn(&Params) -> Result<Box<dyn ElasticityController>, ScenarioError> + Send + Sync>;
 /// Constructor signature for registered share-policy factories.
@@ -205,7 +202,6 @@ fn rckm_config(params: &Params) -> Result<RckmConfig, ScenarioError> {
 #[derive(Default)]
 pub struct Registry {
     placements: BTreeMap<String, PlacementCtor>,
-    autoscalers: BTreeMap<String, AutoscalerCtor>,
     controllers: BTreeMap<String, ControllerCtor>,
     share_policies: BTreeMap<String, SharePolicyCtor>,
 }
@@ -246,9 +242,10 @@ impl Registry {
             Ok(Box::new(ExclusivePlacement::new()))
         });
 
-        // Autoscalers.
-        r.register_autoscaler("lazy", |p| Ok(Box::new(LazyScaler::new(scaler_config(p)?))));
-        r.register_autoscaler("keep-alive", |p| {
+        // Elasticity controllers: the horizontal-only scalers, then the 2D
+        // co-scaler.
+        r.register_controller("lazy", |p| Ok(Box::new(LazyScaler::new(scaler_config(p)?))));
+        r.register_controller("keep-alive", |p| {
             p.expect_keys(&["keep_alive_secs"])?;
             // Observation-3 default (50 s).
             match p.get("keep_alive_secs") {
@@ -259,16 +256,14 @@ impl Registry {
                 }
             }
         });
-        r.register_autoscaler("reactive", |p| {
+        r.register_controller("reactive", |p| {
             p.expect_keys(&[])?;
             Ok(Box::new(ReactiveScaler::new()))
         });
-        r.register_autoscaler("null", |p| {
+        r.register_controller("null", |p| {
             p.expect_keys(&[])?;
-            Ok(Box::new(NullAutoscaler))
+            Ok(Box::new(NullController))
         });
-
-        // 2D elasticity controllers.
         r.register_controller("co-scale", |p| Ok(Box::new(CoScaler::new(coscaler_config(p)?))));
 
         // Share policies.
@@ -304,15 +299,7 @@ impl Registry {
         self.placements.insert(name.into(), Box::new(ctor));
     }
 
-    /// Registers (or replaces) an autoscaler constructor under `name`.
-    pub fn register_autoscaler<F>(&mut self, name: impl Into<String>, ctor: F)
-    where
-        F: Fn(&Params) -> Result<Box<dyn Autoscaler>, ScenarioError> + Send + Sync + 'static,
-    {
-        self.autoscalers.insert(name.into(), Box::new(ctor));
-    }
-
-    /// Registers (or replaces) a 2D elasticity-controller constructor under
+    /// Registers (or replaces) an elasticity-controller constructor under
     /// `name`.
     pub fn register_controller<F>(&mut self, name: impl Into<String>, ctor: F)
     where
@@ -348,43 +335,20 @@ impl Registry {
         }
     }
 
-    /// Builds the autoscaler registered under `name`.
-    pub fn autoscaler(
-        &self,
-        name: &str,
-        params: &Params,
-    ) -> Result<Box<dyn Autoscaler>, ScenarioError> {
-        match self.autoscalers.get(name) {
-            Some(ctor) => ctor(params),
-            None => Err(ScenarioError::Unknown {
-                kind: "autoscaler",
-                name: name.to_owned(),
-                known: self.autoscaler_names(),
-            }),
-        }
-    }
-
     /// Builds the elasticity controller registered under `name`.
-    ///
-    /// Falls back to the autoscaler namespace: any registered
-    /// [`Autoscaler`] resolves here too, adapted into a horizontal-only
-    /// controller — so `[system.controller]` accepts every name
-    /// `[system.autoscaler]` does, plus the true 2D controllers.
     pub fn controller(
         &self,
         name: &str,
         params: &Params,
     ) -> Result<Box<dyn ElasticityController>, ScenarioError> {
-        if let Some(ctor) = self.controllers.get(name) {
-            return ctor(params);
+        match self.controllers.get(name) {
+            Some(ctor) => ctor(params),
+            None => Err(ScenarioError::Unknown {
+                kind: "controller",
+                name: name.to_owned(),
+                known: self.controller_names(),
+            }),
         }
-        if self.autoscalers.contains_key(name) {
-            let autoscaler = self.autoscaler(name, params)?;
-            return Ok(Box::new(autoscaler));
-        }
-        let mut known = self.controller_names();
-        known.extend(self.autoscaler_names());
-        Err(ScenarioError::Unknown { kind: "controller", name: name.to_owned(), known })
     }
 
     /// Builds the share-policy factory registered under `name`.
@@ -408,13 +372,15 @@ impl Registry {
         self.placements.keys().cloned().collect()
     }
 
-    /// Registered autoscaler names, sorted.
+    /// Always empty: autoscalers are controllers now, listed by
+    /// [`controller_names`](Self::controller_names). Kept only because the
+    /// benchmark's traced registry still chains it onto the controller
+    /// names.
     pub fn autoscaler_names(&self) -> Vec<String> {
-        self.autoscalers.keys().cloned().collect()
+        Vec::new()
     }
 
-    /// Registered 2D-controller names, sorted (autoscaler names resolve as
-    /// controllers too but are listed by [`autoscaler_names`](Self::autoscaler_names)).
+    /// Registered elasticity-controller names, sorted.
     pub fn controller_names(&self) -> Vec<String> {
         self.controllers.keys().cloned().collect()
     }
@@ -433,14 +399,11 @@ mod tests {
     fn defaults_cover_every_builtin() {
         let r = Registry::with_defaults();
         assert_eq!(r.placement_names(), ["dilu", "exclusive", "first-fit", "packing"]);
-        assert_eq!(r.autoscaler_names(), ["keep-alive", "lazy", "null", "reactive"]);
-        assert_eq!(r.controller_names(), ["co-scale"]);
+        assert!(r.autoscaler_names().is_empty());
+        assert_eq!(r.controller_names(), ["co-scale", "keep-alive", "lazy", "null", "reactive"]);
         assert_eq!(r.share_policy_names(), ["fair", "fast-gs", "mps-l", "mps-r", "rckm", "tgs"]);
         for name in r.placement_names() {
             assert!(r.placement(&name, &Params::empty()).is_ok(), "placement {name}");
-        }
-        for name in r.autoscaler_names() {
-            assert!(r.autoscaler(&name, &Params::empty()).is_ok(), "autoscaler {name}");
         }
         for name in r.controller_names() {
             assert!(r.controller(&name, &Params::empty()).is_ok(), "controller {name}");
@@ -477,9 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn autoscalers_resolve_as_controllers() {
+    fn controllers_resolve_with_their_knobs() {
         let r = Registry::with_defaults();
-        // Horizontal-only names adapt through the blanket impl.
+        // Horizontal-only scalers are controllers like the co-scaler.
         let lazy = r.controller("lazy", &Params::empty()).unwrap();
         assert_eq!(lazy.name(), "dilu-lazy-scaler");
         // The true 2D controller resolves directly, with its knobs.
@@ -489,7 +452,7 @@ mod tests {
         ]);
         let co = r.controller("co-scale", &params).unwrap();
         assert_eq!(co.name(), "dilu-co-scaler");
-        // Unknown names list both namespaces.
+        // Unknown names list every controller.
         let err = match r.controller("no-such", &Params::empty()) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("lookup must fail"),
@@ -503,10 +466,11 @@ mod tests {
     #[test]
     fn user_registration_extends_the_namespace() {
         let mut r = Registry::with_defaults();
-        r.register_autoscaler("noop", |p| {
+        r.register_controller("noop", |p| {
             p.expect_keys(&[])?;
-            Ok(Box::new(NullAutoscaler))
+            Ok(Box::new(NullController))
         });
-        assert!(r.autoscaler("noop", &Params::empty()).is_ok());
+        assert!(r.controller_names().contains(&"noop".to_owned()));
+        assert_eq!(r.controller("noop", &Params::empty()).unwrap().name(), "null");
     }
 }

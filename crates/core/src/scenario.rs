@@ -3,8 +3,9 @@
 //! workloads and run it.
 //!
 //! [`ScenarioBuilder`] is the single front door over the serving-plane
-//! substrate: any [`Placement`], [`Autoscaler`], and [`PolicyFactory`] can
-//! be mixed freely, so new configurations (hybrid autoscalers,
+//! substrate: any [`Placement`], [`ElasticityController`], and
+//! [`PolicyFactory`] can be mixed freely, so new configurations (hybrid
+//! controllers,
 //! spatial-partition baselines, ...) need no enum variant or match arm.
 //! [`SystemKind`](crate::SystemKind) presets and
 //! [`ScenarioConfig`](crate::ScenarioConfig) files both name their
@@ -37,8 +38,8 @@ use std::collections::BTreeSet;
 
 use dilu_cluster::ClusterReport;
 use dilu_cluster::{
-    Autoscaler, ClusterSim, ClusterSpec, DeployError, ElasticityController, FunctionId,
-    FunctionSpec, Placement, PolicyFactory, SimConfig,
+    ClusterSim, ClusterSpec, DeployError, ElasticityController, FunctionId, FunctionSpec,
+    Placement, PolicyFactory, SimConfig,
 };
 use dilu_sim::{SimDuration, SimTime};
 use dilu_workload::{ArrivalProcess, ArrivalSpec};
@@ -49,9 +50,8 @@ use dilu_workload::{ArrivalProcess, ArrivalSpec};
 pub enum ScenarioError {
     /// No placement policy was supplied (and no preset provided one).
     MissingPlacement,
-    /// No elasticity controller (or autoscaler) was supplied, and no preset
-    /// provided one.
-    MissingAutoscaler,
+    /// No elasticity controller was supplied (and no preset provided one).
+    MissingController,
     /// No share-policy factory was supplied (and no preset provided one).
     MissingSharePolicy,
     /// An inference function has no arrival source; use
@@ -77,7 +77,7 @@ pub enum ScenarioError {
     Deploy(DeployError),
     /// A registry lookup failed (unknown name).
     Unknown {
-        /// What was looked up: "placement", "autoscaler", ...
+        /// What was looked up: "placement", "controller", ...
         kind: &'static str,
         /// The name that matched nothing.
         name: String,
@@ -92,9 +92,7 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::MissingPlacement => write!(f, "scenario has no placement policy"),
-            ScenarioError::MissingAutoscaler => {
-                write!(f, "scenario has no elasticity controller (autoscaler)")
-            }
+            ScenarioError::MissingController => write!(f, "scenario has no elasticity controller"),
             ScenarioError::MissingSharePolicy => {
                 write!(f, "scenario has no share-policy factory")
             }
@@ -245,23 +243,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets a horizontal-only autoscaler as the elasticity controller
-    /// (through the blanket [`ElasticityController`] adapter).
-    pub fn autoscaler(mut self, autoscaler: impl Autoscaler + 'static) -> Self {
-        self.controller = Some(Box::new(autoscaler));
-        self
-    }
-
-    /// Sets the autoscaler from a box (registry path).
-    pub fn autoscaler_boxed(mut self, autoscaler: Box<dyn Autoscaler>) -> Self {
-        self.controller = Some(Box::new(autoscaler));
-        self
-    }
-
-    /// Sets a 2D elasticity controller (vertical quota resizing plus
-    /// horizontal scaling). Replaces whatever
-    /// [`autoscaler`](Self::autoscaler) set and vice versa — they fill the
-    /// same slot.
+    /// Sets the elasticity controller: horizontal scaling, plus vertical
+    /// quota resizing for a 2D controller.
     pub fn controller(mut self, controller: impl ElasticityController + 'static) -> Self {
         self.controller = Some(Box::new(controller));
         self
@@ -461,7 +444,7 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Any recorded builder misuse, [`ScenarioError::MissingPlacement`] /
-    /// [`ScenarioError::MissingAutoscaler`] /
+    /// [`ScenarioError::MissingController`] /
     /// [`ScenarioError::MissingSharePolicy`] when a component is absent,
     /// [`ScenarioError::NoFunctions`],
     /// [`ScenarioError::MissingArrivals`] for an inference function with no
@@ -472,18 +455,13 @@ impl ScenarioBuilder {
             return Err(misuse);
         }
         let placement = self.placement.ok_or(ScenarioError::MissingPlacement)?;
-        let controller = self.controller.ok_or(ScenarioError::MissingAutoscaler)?;
+        let controller = self.controller.ok_or(ScenarioError::MissingController)?;
         let share_policy = self.share_policy.ok_or(ScenarioError::MissingSharePolicy)?;
         if self.functions.is_empty() {
             return Err(ScenarioError::NoFunctions);
         }
-        let mut sim = ClusterSim::with_controller(
-            self.cluster,
-            self.sim,
-            placement,
-            controller,
-            &*share_policy,
-        );
+        let mut sim =
+            ClusterSim::new(self.cluster, self.sim, placement, controller, &*share_policy);
         let end = SimTime::ZERO + self.horizon;
         for entry in self.functions {
             match entry.workload {
@@ -548,7 +526,7 @@ impl std::fmt::Debug for Scenario {
         f.debug_struct("Scenario")
             .field("cluster", self.sim.spec())
             .field("placement", &self.sim.placement_name())
-            .field("autoscaler", &self.sim.autoscaler_name())
+            .field("controller", &self.sim.controller_name())
             .field("share_policy", &self.sim.share_policy_name())
             .field("horizon", &self.horizon)
             .finish_non_exhaustive()

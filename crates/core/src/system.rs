@@ -195,7 +195,7 @@ mod tests {
     fn presets_expose_component_names() {
         let dilu = build(SystemKind::Dilu, 1);
         assert_eq!(dilu.sim().placement_name(), "dilu-scheduler");
-        assert_eq!(dilu.sim().autoscaler_name(), "dilu-lazy-scaler");
+        assert_eq!(dilu.sim().controller_name(), "dilu-lazy-scaler");
         assert_eq!(dilu.sim().share_policy_name(), "dilu-rckm");
         let excl = build(SystemKind::Exclusive, 1);
         assert_eq!(excl.sim().placement_name(), "exclusive");

@@ -5,7 +5,7 @@
 //! pair always yields the same [`ScenarioConfig`], which is what makes a
 //! printed seed a complete reproducer. Sampled dimensions: fleet shape,
 //! placement (with occasional Ω/Γ overrides), elasticity controller
-//! (2D co-scaler and every horizontal autoscaler), share policy, `[sim]`
+//! (2D co-scaler and every horizontal-only scaler), share policy, `[sim]`
 //! knobs (quantum, tick, resize latency, time model, streaming
 //! arrival-window caps), horizon, and one to three functions mixing
 //! inference (Poisson / Gamma / trace / replay / synth / trace-file
@@ -33,8 +33,8 @@ use serde::Value;
 pub struct SpaceConfig {
     /// Placement names to sample (registry namespace).
     pub placements: Vec<String>,
-    /// Elasticity-controller names to sample; autoscaler names resolve
-    /// through the controller slot, so both kinds belong here.
+    /// Elasticity-controller names to sample: the 2D co-scaler and the
+    /// horizontal-only scalers share one registry namespace.
     pub controllers: Vec<String>,
     /// Share-policy names to sample.
     pub share_policies: Vec<String>,
@@ -232,7 +232,7 @@ fn inference_function<R: Rng>(
     };
     // Cold-start storm bursts: with a network plane, sometimes drop every
     // request in one replayed instant with no prewarmed instance, so the
-    // autoscaler fans out concurrent fetches that contend on the registry.
+    // controller fans out concurrent fetches that contend on the registry.
     if networked && rng.gen_range(0..3) == 0 {
         let burst = rng.gen_range(4..=32);
         let at = f64::from(rng.gen_range(1..=(horizon as u32 / 2).max(1)));

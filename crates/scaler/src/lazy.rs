@@ -1,6 +1,6 @@
 //! The lazy scaling-out/in controller.
 
-use dilu_cluster::{Autoscaler, FunctionScaleView, ScaleAction};
+use dilu_cluster::{ClusterView, ElasticityController, FunctionScaleView, ScaleAction};
 use dilu_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +30,7 @@ impl Default for ScalerConfig {
 ///
 /// ```
 /// use dilu_scaler::{LazyScaler, ScalerConfig};
-/// use dilu_cluster::Autoscaler;
+/// use dilu_cluster::ElasticityController;
 ///
 /// let scaler = LazyScaler::new(ScalerConfig::default());
 /// assert_eq!(scaler.name(), "dilu-lazy-scaler");
@@ -109,8 +109,13 @@ pub(crate) fn horizontal_scale_in(
     None
 }
 
-impl Autoscaler for LazyScaler {
-    fn on_tick(&mut self, _now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for LazyScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         functions.iter().filter_map(|f| self.decide(f)).collect()
     }
 
@@ -124,6 +129,9 @@ mod tests {
     use super::*;
     use dilu_cluster::{FunctionId, FunctionKind};
     use dilu_sim::SimDuration;
+
+    /// Horizontal-only scalers never read the cluster view.
+    const NO_GPUS: ClusterView = ClusterView { gpus: Vec::new() };
 
     fn view(window: Vec<u64>, ready: u32, starting: u32, backlog: usize) -> FunctionScaleView {
         FunctionScaleView {
@@ -141,7 +149,7 @@ mod tests {
     }
 
     fn tick(scaler: &mut LazyScaler, v: FunctionScaleView) -> Vec<ScaleAction> {
-        scaler.on_tick(SimTime::from_secs(60), &[v])
+        scaler.on_tick(SimTime::from_secs(60), &[v], &NO_GPUS)
     }
 
     #[test]

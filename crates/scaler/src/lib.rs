@@ -11,15 +11,15 @@
 //! * **scale in** when more than φ_in (30) samples fall below the capacity
 //!   of one fewer instance — avoiding termination/restart churn.
 //!
-//! Two controllers implement this:
+//! Two [`dilu_cluster::ElasticityController`]s implement this:
 //!
-//! * [`LazyScaler`] — horizontal-only ([`dilu_cluster::Autoscaler`]); it
+//! * [`LazyScaler`] — horizontal-only: it ignores the cluster view and
 //!   *assumes* per-GPU vertical scaling (RCKM) handles the bursts;
-//! * [`CoScaler`] — a true 2D [`dilu_cluster::ElasticityController`]: it
-//!   observes per-GPU quota headroom, grows a function's `<request, limit>`
-//!   quotas in place (millisecond apply latency) up to the Ω cap, and only
-//!   falls back to cold-start-bound scale-out beyond that; on quiet windows
-//!   it shrinks grown quotas back before terminating instances.
+//! * [`CoScaler`] — truly 2D: it observes per-GPU quota headroom, grows a
+//!   function's `<request, limit>` quotas in place (millisecond apply
+//!   latency) up to the Ω cap, and only falls back to cold-start-bound
+//!   scale-out beyond that; on quiet windows it shrinks grown quotas back
+//!   before terminating instances.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

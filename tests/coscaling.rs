@@ -46,15 +46,14 @@ fn dilu_serves_bursts_with_low_violations() {
 }
 
 /// Runs the shipped 2D co-scaling scenario, optionally swapping the
-/// controller for a horizontal-only autoscaler. Arrival streams derive
+/// controller for a horizontal-only scaler. Arrival streams derive
 /// from the scenario seed, so both runs serve identical traffic.
 fn coscaling_scenario_run(horizontal_only: Option<&str>) -> ClusterReport {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/coscaling.toml");
     let mut config = ScenarioConfig::load(&path).expect("shipped scenario parses");
-    if let Some(autoscaler) = horizontal_only {
-        config.system.controller = None;
-        config.system.autoscaler = Some(ComponentSection::named(autoscaler));
+    if let Some(scaler) = horizontal_only {
+        config.system.controller = Some(ComponentSection::named(scaler));
     }
     let registry = Registry::with_defaults();
     config

@@ -33,10 +33,10 @@ fn missing_components_are_typed_errors() {
         .arrival_times(Vec::new())
         .build();
     match err {
-        Err(e @ ScenarioError::MissingAutoscaler) => {
+        Err(e @ ScenarioError::MissingController) => {
             assert!(e.to_string().contains("elasticity controller"), "{e}");
         }
-        other => panic!("expected MissingAutoscaler, got {other:?}"),
+        other => panic!("expected MissingController, got {other:?}"),
     }
 }
 
@@ -148,7 +148,7 @@ gpus_per_node = 4
 [system]
 preset = "infless-l"
 
-[system.autoscaler]
+[system.controller]
 name = "keep-alive"
 keep_alive_secs = 12.0
 
@@ -186,10 +186,10 @@ fn config_preset_with_component_override_composes_correctly() {
     let registry = Registry::with_defaults();
     let scenario = config.into_builder(&registry).unwrap().build().unwrap();
     // Preset infless-l supplies packing placement + mps-l policy; the
-    // autoscaler table overrides keep-alive parameters (same name).
+    // controller table overrides keep-alive parameters (same name).
     assert_eq!(scenario.sim().placement_name(), "dilu-scheduler");
     assert_eq!(scenario.sim().share_policy_name(), "mps-l");
-    assert_eq!(scenario.sim().autoscaler_name(), "infless+-keepalive");
+    assert_eq!(scenario.sim().controller_name(), "infless+-keepalive");
     let report = scenario.run().unwrap();
     assert!(report.inference.values().next().unwrap().completed > 0);
     assert!(report.training.values().next().unwrap().iterations_done > 0);
@@ -346,7 +346,7 @@ fn digest_builder(
 /// A scenario config whose `[system]` table is just `preset = "<name>"`
 /// (functions are added on the builder).
 fn preset_config(name: &str) -> ScenarioConfig {
-    ScenarioConfig::from_toml_str(&format!("functions = []\n[system]\npreset = \"{name}\"\n"))
+    ScenarioConfig::from_toml_str(&format!("[system]\npreset = \"{name}\"\n"))
         .expect("a bare preset parses")
 }
 
@@ -400,11 +400,12 @@ fn every_preset_matches_the_legacy_composition_exactly() {
 /// A horizontal scaler that never acts, under its own report name.
 struct StubScaler;
 
-impl dilu::cluster::Autoscaler for StubScaler {
+impl dilu::cluster::ElasticityController for StubScaler {
     fn on_tick(
         &mut self,
         _now: SimTime,
         _functions: &[dilu::cluster::FunctionScaleView],
+        _cluster: &dilu::cluster::ClusterView,
     ) -> Vec<dilu::cluster::ScaleAction> {
         Vec::new()
     }
@@ -419,7 +420,7 @@ fn preset_components_resolve_through_the_supplied_registry() {
     // A registry that re-registers `lazy` changes what `preset = "dilu"`
     // builds.
     let mut registry = Registry::with_defaults();
-    registry.register_autoscaler("lazy", |p| {
+    registry.register_controller("lazy", |p| {
         p.expect_keys(&[])?;
         Ok(Box::new(StubScaler))
     });
@@ -431,7 +432,7 @@ fn preset_components_resolve_through_the_supplied_registry() {
         .arrival_times(Vec::new())
         .build()
         .expect("stubbed preset builds");
-    assert_eq!(scenario.sim().autoscaler_name(), "stub-lazy");
+    assert_eq!(scenario.sim().controller_name(), "stub-lazy");
     assert_eq!(scenario.sim().placement_name(), "dilu-scheduler");
 
     // A registry that lacks a preset's component cannot build the preset.
@@ -440,6 +441,17 @@ fn preset_components_resolve_through_the_supplied_registry() {
         Err(other) => panic!("expected an unknown placement, got {other:?}"),
         Ok(_) => panic!("an empty registry must not build a preset"),
     }
+
+    // A bare preset plus a `[fleet]` needs no `functions` key at all.
+    let fleet_only = "[system]\npreset = \"dilu\"\n\n[run]\nhorizon_secs = 2\n\n[fleet]\n\
+                      functions = 2\ntotal_rps = 4.0\nmodel = \"bert-base\"\n";
+    let report = ScenarioConfig::from_toml_str(fleet_only)
+        .expect("a fleet-only preset parses")
+        .into_builder(&Registry::with_defaults())
+        .and_then(|b| b.build())
+        .and_then(Scenario::run)
+        .expect("a fleet-only preset builds and runs");
+    assert_eq!(report.inference.len(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -640,7 +652,7 @@ gpus_per_node = 2
 [system.placement]
 name = "exclusive"
 
-[system.autoscaler]
+[system.controller]
 name = "keep-alive"
 
 [system.share_policy]
